@@ -1,5 +1,11 @@
 """Stochastic gradient estimators and oracle-call accounting.
 
+The solver loop drives one estimator per run.  At the head of each anchor
+window it calls ``anchor(x, batch, tally)`` with a without-replacement batch;
+that returns the step's gradient estimate v, or None when an inner step must
+follow.  ``step(x, batch, tally)`` returns v for an inner step on a
+with-replacement batch.  Every kind is built from ``minibatch_grad``.
+
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
 """
@@ -12,11 +18,11 @@ from .problems import ProblemInstance, batch_mean_grad, full_gradient, _loss_slo
 
 __all__ = [
     "OracleTally",
-    "EstimatorState",
     "sample_indices",
     "minibatch_grad",
-    "svrg_grad",
-    "spider_grad",
+    "FreshGradient",
+    "SnapshotGradient",
+    "RecursiveGradient",
     "estimate_sigma2",
 ]
 
@@ -34,24 +40,6 @@ class OracleTally:
     eval_calls: int = 0
 
 
-@dataclass
-class EstimatorState:
-    """State carried by variance-reduced estimators.
-
-    kind         "svrg" or "spider"
-    snapshot_x   anchor point x~ (svrg)
-    anchor_grad  full/anchor gradient at the snapshot (svrg) or v_{k-1} (spider)
-    prev_x       previous iterate x_{k-1} (spider)
-    rng          generator driving the inner mini-batch draws
-    """
-
-    kind: str
-    snapshot_x: np.ndarray = None
-    anchor_grad: np.ndarray = None
-    prev_x: np.ndarray = None
-    rng: np.random.Generator = None
-
-
 def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` indices from range(n), with or without replacement."""
     if size < 1:
@@ -66,51 +54,72 @@ def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np
 
 
 def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally):
-    """Plain mini-batch gradient: mean of grad_component over ``batch``."""
+    """Plain mini-batch gradient: mean of the component gradients over ``batch``."""
     idx = np.sort(np.asarray(batch, dtype=np.intp))
     tally.solver_calls += idx.shape[0]
     return batch_mean_grad(p, x, idx)
 
 
-def svrg_grad(p: ProblemInstance, x, state: EstimatorState, batch, tally: OracleTally):
-    """Variance-reduced gradient against a snapshot anchor.
+class FreshGradient:
+    """sadmm: the anchor batch's mini-batch gradient is the whole estimate.
 
-    v = grad_I(x) - grad_I(snapshot_x) + anchor_grad, with the same batch I in
-    both terms.  Charges 2|batch| component gradients.
+    Its anchor window is one step, so it never takes an inner step.
     """
-    if state.snapshot_x is None or state.anchor_grad is None:
-        raise ValueError("svrg estimator used before its anchor was set")
-    idx = np.sort(np.asarray(batch, dtype=np.intp))
-    tally.solver_calls += 2 * idx.shape[0]
-    return (
-        batch_mean_grad(p, x, idx)
-        - batch_mean_grad(p, state.snapshot_x, idx)
-        + state.anchor_grad
-    )
+
+    def __init__(self, p: ProblemInstance):
+        self.p = p
+
+    def anchor(self, x, batch, tally: OracleTally):
+        return minibatch_grad(self.p, x, batch, tally)
 
 
-def spider_grad(p: ProblemInstance, x, state: EstimatorState, batch, tally: OracleTally):
-    """Recursive gradient estimate against the previous iterate.
+class SnapshotGradient:
+    """svrg: v = grad_I(x) - grad_I(ref_x) + ref_grad against the anchor point.
 
-    v = grad_I(x) - grad_I(prev_x) + v_prev, then the state rolls forward:
-    prev_x <- x, anchor_grad <- v.  Charges 2|batch| component gradients.
+    The anchor sets ref_x and its anchor-batch gradient ref_grad, and returns
+    None: the anchor row also takes an inner step.  An inner step charges
+    2|batch| component gradients, with the same batch I in both terms.
     """
-    if state.prev_x is None or state.anchor_grad is None:
-        raise ValueError("spider estimator used before its reference point was set")
-    idx = np.sort(np.asarray(batch, dtype=np.intp))
-    tally.solver_calls += 2 * idx.shape[0]
-    v = (
-        batch_mean_grad(p, x, idx)
-        - batch_mean_grad(p, state.prev_x, idx)
-        + state.anchor_grad
-    )
-    state.prev_x = x
-    state.anchor_grad = v
-    return v
+
+    def __init__(self, p: ProblemInstance):
+        self.p = p
+        self.ref_x = None
+        self.ref_grad = None
+
+    def anchor(self, x, batch, tally: OracleTally):
+        self.ref_x = x
+        self.ref_grad = minibatch_grad(self.p, x, batch, tally)
+        return None
+
+    def step(self, x, batch, tally: OracleTally):
+        if self.ref_grad is None:
+            raise ValueError("inner step taken before an anchor set the reference point")
+        return (
+            minibatch_grad(self.p, x, batch, tally)
+            - minibatch_grad(self.p, self.ref_x, batch, tally)
+            + self.ref_grad
+        )
+
+
+class RecursiveGradient(SnapshotGradient):
+    """spider: the snapshot difference taken against the previous iterate.
+
+    The anchor's gradient is the refresh row's estimate; each inner step then
+    rolls the reference forward: ref_x <- x, ref_grad <- v.
+    """
+
+    def anchor(self, x, batch, tally: OracleTally):
+        super().anchor(x, batch, tally)
+        return self.ref_grad
+
+    def step(self, x, batch, tally: OracleTally):
+        v = super().step(x, batch, tally)
+        self.ref_x, self.ref_grad = x, v
+        return v
 
 
 def estimate_sigma2(p: ProblemInstance, x0, m: int, rng: np.random.Generator) -> float:
-    """Mean of ||grad_component(i, x0) - grad f(x0)||^2 over m uniform draws.
+    """Mean of ||grad f_i(x0) - grad f(x0)||^2 over m uniform draws.
 
     With m >= n every component is used once, giving the exact population
     value of the gradient-variance bound.

@@ -108,6 +108,12 @@ class RunSummary:
     rows: list
     aggregates: dict
 
+    def write_yaml(self, path) -> None:
+        """Write the summary as YAML in field order, with the rows under ``runs``."""
+        payload = {("runs" if k == "rows" else k): v for k, v in dataclasses.asdict(self).items()}
+        with open(path, "w") as fh:
+            yaml.safe_dump(payload, fh, sort_keys=False)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -282,30 +288,8 @@ def _build_problem(cfg: ExperimentConfig, ds):
     return build_graph_guided(ds, cfg.l1, cfg.l2, cfg.corr_threshold)
 
 
-def _run_cell(problem, test_problem, method: MethodSpec, cfg, rep: int, seed: int, trace_path: str):
+def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_path: str):
     """Execute one grid cell and write its trace; returns a RunRow."""
-    params = make_admm_params(problem.constraint, method.beta, method.eta, r=method.r)
-    sched = SchedulerParams(
-        c_tau=method.c_tau,
-        c_eps=method.c_eps,
-        epsilon=method.epsilon,
-        sigma2=cfg["sigma2"],
-        n=problem.n,
-        tau_init=method.tau_init,
-    )
-    solver_cfg = SolverConfig(
-        method=method.name,
-        admm=params,
-        sched=sched,
-        max_iters=cfg["max_iters"],
-        b=method.b,
-        T=method.T,
-        q=method.q,
-        seed=seed,
-        oracle_budget=cfg["oracle_budget"],
-        target_epsilon=cfg["target_epsilon"],
-        eval_stride=cfg["eval_stride"],
-    )
     test_fn = None
     if test_problem is not None:
         test_fn = lambda x: objective(test_problem, x)  # noqa: E731
@@ -338,9 +322,9 @@ def _run_cell(problem, test_problem, method: MethodSpec, cfg, rep: int, seed: in
         iterations = state.k
     cap_hits = sum(1 for rec in trace if rec.batch_size >= problem.n)
     return RunRow(
-        method=method.name,
+        method=solver_cfg.method,
         repeat=rep,
-        seed=seed,
+        seed=solver_cfg.seed,
         iterations=iterations,
         solver_calls=solver_calls,
         eval_calls=eval_calls,
@@ -380,7 +364,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     L = estimate_L(problem)
     varsigma, opnorm = spectral_bounds(problem.constraint.A)
 
-    # surface bad method parameters as config errors before any cell runs
+    # build each method's solver config once, surfacing bad method parameters
+    # as config errors before any cell runs
+    solver_cfgs = []
     for i, method in enumerate(cfg.methods):
         try:
             params = make_admm_params(problem.constraint, method.beta, method.eta, r=method.r)
@@ -392,35 +378,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
                 n=problem.n,
                 tau_init=method.tau_init,
             )
-            SolverConfig(
-                method=method.name,
-                admm=params,
-                sched=sched,
-                max_iters=cfg.max_iters,
-                b=method.b,
-                T=method.T,
-                q=method.q,
-                seed=0,
-                oracle_budget=cfg.oracle_budget,
-                target_epsilon=cfg.target_epsilon,
-                eval_stride=cfg.eval_stride,
+            solver_cfgs.append(
+                SolverConfig(
+                    method=method.name,
+                    admm=params,
+                    sched=sched,
+                    max_iters=cfg.max_iters,
+                    b=method.b,
+                    T=method.T,
+                    q=method.q,
+                    oracle_budget=cfg.oracle_budget,
+                    target_epsilon=cfg.target_epsilon,
+                    eval_stride=cfg.eval_stride,
+                )
             )
         except ValueError as exc:
             raise ConfigError(f"methods[{i}] ({method.name}): {exc}") from exc
 
-    shared = {
-        "sigma2": sigma2,
-        "max_iters": cfg.max_iters,
-        "oracle_budget": cfg.oracle_budget,
-        "target_epsilon": cfg.target_epsilon,
-        "eval_stride": cfg.eval_stride,
-    }
     cells = []
-    for method in cfg.methods:
+    for solver_cfg in solver_cfgs:
         for rep in range(cfg.repeats):
-            seed = _derive_seed(cfg.seed, 1, rep)
-            trace_path = os.path.join(out_dir, f"trace_{method.name}_rep{rep}.csv")
-            cells.append((problem, test_problem, method, shared, rep, seed, trace_path))
+            seeded = dataclasses.replace(solver_cfg, seed=_derive_seed(cfg.seed, 1, rep))
+            trace_path = os.path.join(out_dir, f"trace_{solver_cfg.method}_rep{rep}.csv")
+            cells.append((problem, test_problem, seeded, rep, trace_path))
 
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -454,19 +434,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         rows=rows,
         aggregates=aggregates,
     )
-    payload = {
-        "version": summary.version,
-        "sigma2": summary.sigma2,
-        "L": summary.L,
-        "varsigma": summary.varsigma,
-        "opnorm": summary.opnorm,
-        "n_train": summary.n_train,
-        "n_test": summary.n_test,
-        "runs": [dataclasses.asdict(r) for r in rows],
-        "aggregates": aggregates,
-    }
-    with open(os.path.join(out_dir, "summary.yaml"), "w") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+    summary.write_yaml(os.path.join(out_dir, "summary.yaml"))
     return summary
 
 

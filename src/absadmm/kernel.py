@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import UnsupportedProblemError
 from .linalg import power_opnorm
-from .problems import ProblemInstance, full_gradient, penalty_value, prox_g
+from .problems import ProblemInstance, full_gradient, prox_g
 
 __all__ = [
     "AdmmParams",
     "SolverState",
     "StationarityReport",
     "make_admm_params",
-    "alf_eval",
     "y_step",
     "x_step",
     "dual_step",
@@ -50,7 +49,6 @@ class SolverState:
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
-    x_prev: np.ndarray
     k: int = 0
     tally: object = None
 
@@ -84,17 +82,6 @@ def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
 def _residual(p: ProblemInstance, x, y):
     cs = p.constraint
     return cs.A @ x + cs.B @ y - cs.c
-
-
-def alf_eval(p: ProblemInstance, params: AdmmParams, w: SolverState, full_f_value: float) -> float:
-    """Augmented Lagrangian value at w, given f(x) precomputed by the caller."""
-    res = _residual(p, w.x, w.y)
-    return (
-        full_f_value
-        + penalty_value(p.g, w.y)
-        - float(w.lam @ res)
-        + 0.5 * params.beta * float(res @ res)
-    )
 
 
 def y_step(p: ProblemInstance, params: AdmmParams, x, lam):

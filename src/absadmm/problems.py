@@ -20,15 +20,12 @@ __all__ = [
     "build_difference_matrix",
     "build_fused_logistic",
     "build_graph_guided",
-    "grad_component",
     "batch_mean_grad",
     "full_gradient",
     "smooth_value",
     "objective",
     "penalty_value",
     "prox_g",
-    "save_constraint_csv",
-    "load_constraint_csv",
 ]
 
 # Loss margins are clamped here before exponentials to avoid overflow; the
@@ -165,13 +162,6 @@ def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
     return grad
 
 
-def grad_component(p: ProblemInstance, i: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of the i-th component f_i at x (ridge term included)."""
-    if not 0 <= i < p.n:
-        raise IndexError(f"component index {i} out of range [0, {p.n})")
-    return batch_mean_grad(p, x, np.array([i]))
-
-
 def full_gradient(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f at x, reduced in index order 0..n-1."""
     return batch_mean_grad(p, x, np.arange(p.n))
@@ -269,17 +259,3 @@ def build_graph_guided(
         constraint=cs,
         g=NonsmoothSpec(weight=l1),
     )
-
-
-def save_constraint_csv(cs: ConstraintSpec, prefix) -> None:
-    """Write A, B, c as ``<prefix>.A.csv`` etc. with full-precision entries."""
-    for name, arr in (("A", cs.A), ("B", cs.B), ("c", cs.c)):
-        np.savetxt(f"{prefix}.{name}.csv", np.atleast_2d(arr), delimiter=",", fmt="%.17g")
-
-
-def load_constraint_csv(prefix) -> ConstraintSpec:
-    """Load a ConstraintSpec previously written by ``save_constraint_csv``."""
-    A = np.loadtxt(f"{prefix}.A.csv", delimiter=",", ndmin=2)
-    B = np.loadtxt(f"{prefix}.B.csv", delimiter=",", ndmin=2)
-    c = np.loadtxt(f"{prefix}.c.csv", delimiter=",", ndmin=2).ravel()
-    return ConstraintSpec(A=A, B=B, c=c)

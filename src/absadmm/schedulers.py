@@ -1,5 +1,5 @@
-"""Mini-batch size rules: a fixed accuracy-driven size, and adaptive rules
-that shrink the batch while the iterates are still moving fast."""
+"""Mini-batch size rules: a fixed accuracy-driven size, and one adaptive rule
+that shrinks the batch while the iterates are still moving fast."""
 
 import math
 from dataclasses import dataclass
@@ -8,8 +8,7 @@ __all__ = [
     "SchedulerParams",
     "TauAccumulator",
     "static_batch",
-    "abs_sadmm_batch",
-    "abs_vr_batch",
+    "adaptive_batch",
     "tau_update",
 ]
 
@@ -22,7 +21,8 @@ class SchedulerParams:
     epsilon       target accuracy in the accuracy-driven term
     sigma2        gradient variance bound (estimated or supplied)
     n             number of components; every batch is capped here
-    tau_init      progress value used by the first adaptive decision
+    tau_init      progress value of the first adaptive anchor decision of the
+                  variance-reduced methods (sadmm's first step reads 0)
     """
 
     c_tau: float
@@ -48,9 +48,10 @@ class SchedulerParams:
 class TauAccumulator:
     """Windowed sum of squared step lengths driving the adaptive anchor sizes.
 
-    Each inner step adds ||x_{k+1} - x_k||^2 / divisor to running_sum; at an
-    epoch boundary the window closes: value_for_next_epoch takes running_sum
-    and the sum restarts from zero.
+    Each step adds ||x_{k+1} - x_k||^2 / divisor to running_sum; at an anchor
+    window boundary the window closes: value_for_next_epoch takes running_sum
+    and the sum restarts from zero.  With divisor 1 and a roll after every
+    step, the value is the last squared step, as sadmm's rule needs.
     """
 
     divisor: int
@@ -75,15 +76,9 @@ def static_batch(sp: SchedulerParams) -> int:
     return _clamp(sp.c_eps * sp.sigma2 / sp.epsilon, sp.n)
 
 
-def abs_sadmm_batch(sp: SchedulerParams, prev_diff_sq: float) -> int:
-    """Adaptive size min of a progress term c_tau*sigma2/||x_k - x_{k-1}||^2
-    and the static cap; a zero step makes the progress term inactive."""
-    progress = math.inf if prev_diff_sq == 0.0 else sp.c_tau * sp.sigma2 / prev_diff_sq
-    return _clamp(min(progress, sp.c_eps * sp.sigma2 / sp.epsilon), sp.n)
-
-
-def abs_vr_batch(sp: SchedulerParams, tau: float) -> int:
-    """Adaptive anchor size driven by the windowed progress value tau."""
+def adaptive_batch(sp: SchedulerParams, tau: float) -> int:
+    """Adaptive size: min of the progress term c_tau*sigma2/tau and the static
+    cap; a zero progress value makes the progress term inactive."""
     progress = math.inf if tau == 0.0 else sp.c_tau * sp.sigma2 / tau
     return _clamp(min(progress, sp.c_eps * sp.sigma2 / sp.epsilon), sp.n)
 

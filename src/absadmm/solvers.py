@@ -1,19 +1,20 @@
-"""Solver drivers for the six method variants.
+"""The solver loop behind all six method variants.
 
-Three loop shapes, each in a static- and an adaptive-batch flavor:
+Each method is an estimator kind plus an anchor window:
 
-  sadmm          one fresh mini-batch gradient per iteration
-  svrg_admm      epochs of length T anchored at a snapshot gradient
-  spider_admm    recursive gradient with a full re-anchor every q steps
+  sadmm          window 1   fresh mini-batch gradient
+  svrg_admm      window T   snapshot gradient against the window's anchor point
+  spider_admm    window q   recursive gradient, refreshed at every anchor
 
-Every iteration applies the same kernel updates in the fixed order
-y -> x -> dual.  Anchor and outer batches are drawn without replacement from
-one stream; inner variance-reduction batches are drawn with replacement from
-an independent stream, so static and adaptive runs with the same seed see
-the same inner randomness.
+At the head of every window the loop draws an anchor batch without
+replacement and hands it to the estimator; the ``_adaptive`` flavors size it
+from the mean squared step of the previous window (for sadmm, the last step),
+the static ones at the cap.  Inner steps draw ``b`` indices with replacement
+from an independent stream, so static and adaptive runs with the same seed
+see the same inner randomness.  Every iteration applies the kernel updates in
+the fixed order y -> x -> dual.
 """
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,20 +23,18 @@ import numpy as np
 
 from .errors import DivergenceError
 from .estimators import (
-    EstimatorState,
+    FreshGradient,
     OracleTally,
-    minibatch_grad,
+    RecursiveGradient,
+    SnapshotGradient,
     sample_indices,
-    spider_grad,
-    svrg_grad,
 )
 from .kernel import AdmmParams, SolverState, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance, objective
 from .schedulers import (
     SchedulerParams,
     TauAccumulator,
-    abs_sadmm_batch,
-    abs_vr_batch,
+    adaptive_batch,
     static_batch,
     tau_update,
 )
@@ -46,9 +45,6 @@ __all__ = [
     "TraceRecord",
     "RunResult",
     "run",
-    "run_sadmm",
-    "run_svrg_admm",
-    "run_spider_admm",
 ]
 
 METHODS = (
@@ -161,7 +157,7 @@ def _init_state(p: ProblemInstance) -> SolverState:
     x0 = np.zeros(p.constraint.d1)
     y0 = np.zeros(p.constraint.d2)
     lam0 = np.zeros(p.constraint.m)
-    return SolverState(x=x0, y=y0, lam=lam0, x_prev=x0.copy(), tally=OracleTally())
+    return SolverState(x=x0, y=y0, lam=lam0, tally=OracleTally())
 
 
 def _streams(seed):
@@ -170,7 +166,7 @@ def _streams(seed):
 
 
 class _Loop:
-    """Shared per-iteration bookkeeping for the three drivers."""
+    """Per-iteration bookkeeping: kernel update, evaluation, trace row, stop flags."""
 
     def __init__(self, p, cfg, test_objective, step_monitor):
         self.p = p
@@ -209,7 +205,6 @@ class _Loop:
                 )
             )
         dx = x_new - state.x
-        state.x_prev = state.x
         state.x, state.y, state.lam = x_new, y_new, lam_new
         state.k += 1
 
@@ -249,115 +244,12 @@ class _Loop:
         return RunResult(trace=self.trace, state=self.state)
 
 
-def run_sadmm(
-    p: ProblemInstance,
-    cfg: SolverConfig,
-    adaptive: bool,
-    test_objective: Optional[Callable] = None,
-    step_monitor: Optional[Callable] = None,
-) -> RunResult:
-    """Mini-batch ADMM; the adaptive flavor sizes each batch from the last step."""
-    loop = _Loop(p, cfg, test_objective, step_monitor)
-    rng_anchor, _ = _streams(cfg.seed)
-    sp = cfg.sched
-    state = loop.state
-    for _ in range(cfg.max_iters):
-        if adaptive:
-            diff = state.x - state.x_prev
-            M = abs_sadmm_batch(sp, float(diff @ diff))
-        else:
-            M = static_batch(sp)
-        batch = sample_indices(p.n, M, "without_replacement", rng_anchor)
-        v = minibatch_grad(p, state.x, batch, state.tally)
-        loop.step(v, batch_col=M, epoch_col=0)
-        if loop.stop:
-            break
-    return loop.result()
-
-
-def run_svrg_admm(
-    p: ProblemInstance,
-    cfg: SolverConfig,
-    adaptive: bool,
-    test_objective: Optional[Callable] = None,
-    step_monitor: Optional[Callable] = None,
-) -> RunResult:
-    """Snapshot-anchored ADMM: epochs of T inner steps against anchor gradients."""
-    loop = _Loop(p, cfg, test_objective, step_monitor)
-    rng_anchor, rng_inner = _streams(cfg.seed)
-    sp = cfg.sched
-    state = loop.state
-    est = EstimatorState(kind="svrg", rng=rng_inner)
-    acc = TauAccumulator(divisor=cfg.T, value_for_next_epoch=sp.tau_init)
-    epochs = math.ceil(cfg.max_iters / cfg.T)
-    for s in range(1, epochs + 1):
-        if adaptive:
-            N = abs_vr_batch(sp, acc.value_for_next_epoch)
-        else:
-            N = static_batch(sp)
-        anchor_batch = sample_indices(p.n, N, "without_replacement", rng_anchor)
-        est.snapshot_x = state.x.copy()
-        est.anchor_grad = minibatch_grad(p, est.snapshot_x, anchor_batch, state.tally)
-        for t in range(cfg.T):
-            if state.k >= cfg.max_iters:
-                break
-            batch = sample_indices(p.n, cfg.b, "with_replacement", est.rng)
-            v = svrg_grad(p, state.x, est, batch, state.tally)
-            diff_sq = loop.step(v, batch_col=N if t == 0 else cfg.b, epoch_col=s)
-            tau_update(acc, diff_sq)
-            if loop.stop:
-                break
-        acc.roll_epoch()
-        if loop.stop or state.k >= cfg.max_iters:
-            break
-    return loop.result()
-
-
-def run_spider_admm(
-    p: ProblemInstance,
-    cfg: SolverConfig,
-    adaptive: bool,
-    test_objective: Optional[Callable] = None,
-    step_monitor: Optional[Callable] = None,
-) -> RunResult:
-    """Recursive-gradient ADMM with a full (or scheduled) re-anchor every q steps."""
-    loop = _Loop(p, cfg, test_objective, step_monitor)
-    rng_anchor, rng_inner = _streams(cfg.seed)
-    sp = cfg.sched
-    state = loop.state
-    est = EstimatorState(kind="spider", rng=rng_inner)
-    acc = TauAccumulator(divisor=cfg.q, value_for_next_epoch=sp.tau_init)
-    for k in range(cfg.max_iters):
-        if k % cfg.q == 0:
-            if adaptive:
-                N = abs_vr_batch(sp, acc.value_for_next_epoch)
-            else:
-                N = static_batch(sp)
-            batch = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            v = minibatch_grad(p, state.x, batch, state.tally)
-            est.prev_x = state.x
-            est.anchor_grad = v
-            batch_col = N
-        else:
-            batch = sample_indices(p.n, cfg.b, "with_replacement", est.rng)
-            v = spider_grad(p, state.x, est, batch, state.tally)
-            batch_col = cfg.b
-        diff_sq = loop.step(v, batch_col=batch_col, epoch_col=k // cfg.q + 1)
-        tau_update(acc, diff_sq)
-        if (k + 1) % cfg.q == 0:
-            acc.roll_epoch()
-        if loop.stop:
-            break
-    return loop.result()
-
-
-_DISPATCH = {
-    "sadmm": (run_sadmm, False),
-    "sadmm_adaptive": (run_sadmm, True),
-    "svrg_admm": (run_svrg_admm, False),
-    "svrg_admm_adaptive": (run_svrg_admm, True),
-    "spider_admm": (run_spider_admm, False),
-    "spider_admm_adaptive": (run_spider_admm, True),
+# estimator kind and the SolverConfig field holding the anchor window, per
+# base method; sadmm's window is 1 and its epoch column stays 0
+_KINDS = {
+    "sadmm": (FreshGradient, None),
+    "svrg_admm": (SnapshotGradient, "T"),
+    "spider_admm": (RecursiveGradient, "q"),
 }
 
 
@@ -367,6 +259,33 @@ def run(
     test_objective: Optional[Callable] = None,
     step_monitor: Optional[Callable] = None,
 ) -> RunResult:
-    """Dispatch to the driver named by cfg.method."""
-    runner, adaptive = _DISPATCH[cfg.method]
-    return runner(p, cfg, adaptive, test_objective=test_objective, step_monitor=step_monitor)
+    """Run cfg.method: its estimator kind over anchor windows of its size."""
+    base = cfg.method.removesuffix("_adaptive")
+    kind, window_field = _KINDS[base]
+    adaptive = base != cfg.method
+    window = getattr(cfg, window_field) if window_field else 1
+    loop = _Loop(p, cfg, test_objective, step_monitor)
+    state = loop.state
+    est = kind(p)
+    rng_anchor, rng_inner = _streams(cfg.seed)
+    sp = cfg.sched
+    # sadmm's first decision reads 0.0 (no step yet), so it takes the cap
+    acc = TauAccumulator(divisor=window, value_for_next_epoch=sp.tau_init if window_field else 0.0)
+    for k in range(cfg.max_iters):
+        v, batch_col = None, cfg.b
+        if k % window == 0:
+            N = adaptive_batch(sp, acc.value_for_next_epoch) if adaptive else static_batch(sp)
+            anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
+            v = est.anchor(state.x, anchor, state.tally)
+            batch_col = N
+        if v is None:
+            batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
+            v = est.step(state.x, batch, state.tally)
+        epoch_col = k // window + 1 if window_field else 0
+        diff_sq = loop.step(v, batch_col=batch_col, epoch_col=epoch_col)
+        tau_update(acc, diff_sq)
+        if (k + 1) % window == 0:
+            acc.roll_epoch()
+        if loop.stop:
+            break
+    return loop.result()

@@ -18,7 +18,7 @@ import pytest
 from absadmm.advisor import estimate_L, sadmm_feasibility, spider_preset, svrg_preset
 from absadmm.cli import main as cli_main
 from absadmm.datasets import Dataset, dump_libsvm
-from absadmm.estimators import EstimatorState, OracleTally, estimate_sigma2, minibatch_grad, svrg_grad
+from absadmm.estimators import OracleTally, SnapshotGradient, estimate_sigma2, minibatch_grad
 from absadmm.kernel import dual_step, make_admm_params, metric_apply, x_step, y_step
 from absadmm.problems import (
     NonsmoothSpec,
@@ -123,8 +123,9 @@ def test_estimators_unbiased_by_enumeration(make_dataset):
     mb = np.mean([minibatch_grad(p, x, [i], tally) for i in range(p.n)], axis=0)
     gap_mb = float(np.max(np.abs(mb - exact)))
 
-    st = EstimatorState(kind="svrg", snapshot_x=snap, anchor_grad=full_gradient(p, snap))
-    sv = np.mean([svrg_grad(p, x, st, [i], tally) for i in range(p.n)], axis=0)
+    st = SnapshotGradient(p)
+    st.anchor(snap, np.arange(p.n), tally)  # full-batch anchor: exact snapshot gradient
+    sv = np.mean([st.step(x, [i], tally) for i in range(p.n)], axis=0)
     gap_sv = float(np.max(np.abs(sv - exact)))
 
     assert gap_mb <= 1e-12

@@ -3,13 +3,12 @@ import pytest
 
 from absadmm.datasets import Dataset
 from absadmm.estimators import (
-    EstimatorState,
     OracleTally,
+    RecursiveGradient,
+    SnapshotGradient,
     estimate_sigma2,
     minibatch_grad,
     sample_indices,
-    spider_grad,
-    svrg_grad,
 )
 from absadmm.problems import (
     ConstraintSpec,
@@ -84,16 +83,24 @@ def test_full_batch_equals_full_gradient_bitwise(small):
     assert np.array_equal(got, full_gradient(small, x))
 
 
+def _anchored(kind, p, x):
+    """An estimator anchored at x on the full batch, so its anchor gradient is exact."""
+    est = kind(p)
+    v = est.anchor(x, np.arange(p.n), OracleTally())
+    return est, v
+
+
 def test_svrg_grad_unbiased_and_tally(small):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     snap = rng.standard_normal(4)
-    anchor = full_gradient(small, snap)
-    state = EstimatorState(kind="svrg", snapshot_x=snap, anchor_grad=anchor)
+    est, v = _anchored(SnapshotGradient, small, snap)
+    assert v is None  # the anchor row also takes an inner step
+    assert np.array_equal(est.ref_grad, full_gradient(small, snap))
     tally = OracleTally()
     avg = np.zeros(4)
     for i in range(small.n):
-        avg += svrg_grad(small, x, state, np.array([i]), tally)
+        avg += est.step(x, np.array([i]), tally)
     avg /= small.n
     assert np.linalg.norm(avg - full_gradient(small, x)) <= 1e-12
     assert tally.solver_calls == 2 * small.n
@@ -102,43 +109,41 @@ def test_svrg_grad_unbiased_and_tally(small):
 def test_svrg_exact_cancellation(small):
     # batch terms cancel bitwise when x equals the snapshot
     x = np.random.default_rng(7).standard_normal(4)
-    anchor = full_gradient(small, x)
-    state = EstimatorState(kind="svrg", snapshot_x=x, anchor_grad=anchor)
-    v = svrg_grad(small, x.copy(), state, np.array([2, 2, 5]), OracleTally())
-    assert np.array_equal(v, anchor)
+    est, _ = _anchored(SnapshotGradient, small, x)
+    v = est.step(x.copy(), np.array([2, 2, 5]), OracleTally())
+    assert np.array_equal(v, est.ref_grad)
 
 
 def test_svrg_requires_anchor(small):
-    state = EstimatorState(kind="svrg")
     with pytest.raises(ValueError, match="anchor"):
-        svrg_grad(small, np.zeros(4), state, np.array([0]), OracleTally())
+        SnapshotGradient(small).step(np.zeros(4), np.array([0]), OracleTally())
 
 
 def test_spider_recursion_and_state_roll(small):
     rng = np.random.default_rng(8)
     x_prev = rng.standard_normal(4)
     x = rng.standard_normal(4)
-    v_prev = full_gradient(small, x_prev)
-    state = EstimatorState(kind="spider", prev_x=x_prev, anchor_grad=v_prev)
+    est, v_prev = _anchored(RecursiveGradient, small, x_prev)
+    assert np.array_equal(v_prev, full_gradient(small, x_prev))
     tally = OracleTally()
     # conditional mean over singleton batches equals grad(x) - grad(prev) + v_prev
     avg = np.zeros(4)
     for i in range(small.n):
-        st = EstimatorState(kind="spider", prev_x=x_prev, anchor_grad=v_prev)
-        avg += spider_grad(small, x, st, np.array([i]), tally)
+        st, _ = _anchored(RecursiveGradient, small, x_prev)
+        avg += st.step(x, np.array([i]), tally)
     avg /= small.n
     expected = full_gradient(small, x) - full_gradient(small, x_prev) + v_prev
     assert np.linalg.norm(avg - expected) <= 1e-12
-    # state rolls forward after one call
-    v = spider_grad(small, x, state, np.array([1, 4]), OracleTally())
-    assert state.prev_x is x
-    assert state.anchor_grad is v
+    assert tally.solver_calls == 2 * small.n
+    # the reference rolls forward after one step
+    v = est.step(x, np.array([1, 4]), OracleTally())
+    assert est.ref_x is x
+    assert est.ref_grad is v
 
 
 def test_spider_requires_reference(small):
-    state = EstimatorState(kind="spider")
     with pytest.raises(ValueError, match="reference"):
-        spider_grad(small, np.zeros(4), state, np.array([0]), OracleTally())
+        RecursiveGradient(small).step(np.zeros(4), np.array([0]), OracleTally())
 
 
 def test_estimate_sigma2_population_frozen():

@@ -137,6 +137,10 @@ def test_run_experiment_artifacts(tmp_path, config_file):
     assert loaded["sigma2"] == pytest.approx(summary.sigma2)
     assert set(loaded["aggregates"]) == {"sadmm", "svrg_admm_adaptive"}
     assert loaded["aggregates"]["sadmm"]["runs"] == 2
+    assert list(loaded) == [
+        "version", "sigma2", "L", "varsigma", "opnorm", "n_train", "n_test", "runs", "aggregates"
+    ]
+    assert list(loaded["runs"][0]) == [f.name for f in dataclasses.fields(experiment.RunRow)]
 
 
 def test_trace_has_test_objective_only_with_split(tmp_path, config_file):
@@ -220,6 +224,34 @@ def test_bad_method_params_fail_before_running(tmp_path, config_file):
     with pytest.raises(ConfigError, match=r"methods\[0\] \(sadmm\)"):
         run_experiment(load_config(path), str(tmp_path / "out"))
     assert not (tmp_path / "out" / "summary.yaml").exists()
+
+
+def test_admm_params_built_once_per_method(tmp_path, config_file, monkeypatch):
+    built = []
+    real = experiment.make_admm_params
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "make_admm_params", counting)
+    summary = run_experiment(load_config(config_file()), str(tmp_path / "out"))
+    assert len(summary.rows) == 4  # two methods x two repeats
+    assert len(built) == 2
+
+
+def test_later_bad_method_fails_before_any_cell(tmp_path, config_file, monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiment, "run", lambda *a, **k: ran.append(a))
+    path = config_file(
+        methods=[
+            {"name": "sadmm", "beta": 1.0, "eta": 0.5},
+            {"name": "spider_admm", "beta": 1.0, "eta": 0.5, "q": 0},
+        ]
+    )
+    with pytest.raises(ConfigError, match=r"methods\[1\] \(spider_admm\)"):
+        run_experiment(load_config(path), str(tmp_path / "out"))
+    assert ran == []
 
 
 def test_undersized_r_detected_early(tmp_path, config_file):

@@ -5,7 +5,6 @@ from absadmm.errors import UnsupportedProblemError
 from absadmm.kernel import (
     AdmmParams,
     SolverState,
-    alf_eval,
     dual_step,
     make_admm_params,
     metric_apply,
@@ -19,8 +18,6 @@ from absadmm.problems import (
     ProblemInstance,
     build_fused_logistic,
     full_gradient,
-    penalty_value,
-    smooth_value,
 )
 
 
@@ -160,19 +157,6 @@ def test_dual_step_frozen(fused):
     assert np.array_equal(dual_step(fused, params, x, y, lam), 2.0 * np.ones(6))
 
 
-def test_alf_eval_hand_computed(fused):
-    params = AdmmParams(beta=2.0, eta=1.0, r=10.0)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(6)
-    y = rng.standard_normal(6)
-    lam = rng.standard_normal(6)
-    w = SolverState(x=x, y=y, lam=lam, x_prev=x)
-    fval = smooth_value(fused, x)
-    res = fused.constraint.A @ x - y
-    expected = fval + penalty_value(fused.g, y) - lam @ res + 1.0 * res @ res
-    assert alf_eval(fused, params, w, fval) == pytest.approx(expected, abs=1e-12)
-
-
 def test_stationarity_subgrad_frozen(fused):
     import dataclasses
 
@@ -181,7 +165,7 @@ def test_stationarity_subgrad_frozen(fused):
     y = np.array([1.0, 0.0, -2.0, 0.0, 0.0, 0.0])
     lam = -np.array([0.7, 0.3, -0.1, -0.9, 0.0, 0.0])
     x = np.zeros(6)
-    rep = stationarity(p, SolverState(x=x, y=y, lam=lam, x_prev=x))
+    rep = stationarity(p, SolverState(x=x, y=y, lam=lam))
     assert rep.subgrad_term == pytest.approx(0.36, abs=1e-12)
     g = full_gradient(p, x)
     gt = g - p.constraint.A.T @ lam
@@ -199,6 +183,6 @@ def test_stationarity_zero_at_unconstrained_optimum():
     cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))
     # gradient is odd in x here, so x=0 is the minimizer
-    w = SolverState(x=np.zeros(1), y=np.zeros(1), lam=np.zeros(1), x_prev=np.zeros(1))
+    w = SolverState(x=np.zeros(1), y=np.zeros(1), lam=np.zeros(1))
     rep = stationarity(p, w)
     assert rep.total == pytest.approx(0.0, abs=1e-14)

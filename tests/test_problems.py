@@ -14,12 +14,9 @@ from absadmm.problems import (
     build_fused_logistic,
     build_graph_guided,
     full_gradient,
-    grad_component,
-    load_constraint_csv,
     objective,
     penalty_value,
     prox_g,
-    save_constraint_csv,
     smooth_value,
 )
 
@@ -59,11 +56,11 @@ def test_pointwise_loss_values_frozen():
     x = np.array([0.5])
     p_log = build_fused_logistic(ds, 0.0)
     assert smooth_value(p_log, x) == pytest.approx(0.4740769841801067, abs=1e-15)
-    assert grad_component(p_log, 0, x)[0] == pytest.approx(-0.3775406687981454, abs=1e-15)
+    assert batch_mean_grad(p_log, x, [0])[0] == pytest.approx(-0.3775406687981454, abs=1e-15)
     cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
     p_sig = ProblemInstance(ds, "sigmoid", 0.0, cs, NonsmoothSpec(0.0))
     assert smooth_value(p_sig, x) == pytest.approx(0.3775406687981454, abs=1e-15)
-    assert grad_component(p_sig, 0, x)[0] == pytest.approx(-0.2350037122015945, abs=1e-15)
+    assert batch_mean_grad(p_sig, x, [0])[0] == pytest.approx(-0.2350037122015945, abs=1e-15)
 
 
 def test_extreme_margins_do_not_overflow():
@@ -76,7 +73,7 @@ def test_extreme_margins_do_not_overflow():
         assert np.all(np.isfinite(full_gradient(p, x)))
     # saturated logistic slope is -1 up to clamp error below 1e-15
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))
-    g = grad_component(p, 1, np.array([1.0]))  # z = -200, clamped at -35
+    g = batch_mean_grad(p, np.array([1.0]), [1])  # z = -200, clamped at -35
     assert g[0] == pytest.approx(200.0, rel=1e-14)
 
 
@@ -89,7 +86,7 @@ def test_gradients_match_finite_differences(make_dataset):
         for _ in range(10):
             i = int(rng.integers(0, p.n))
             x = rng.standard_normal(5)
-            g = grad_component(p, i, x)
+            g = batch_mean_grad(p, x, [i])
             h = 1e-6
             fd = np.zeros(5)
             for j in range(5):
@@ -105,7 +102,7 @@ def test_batch_mean_matches_loop(make_dataset):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(6)
     batch = rng.integers(0, 20, size=9)
-    direct = sum(grad_component(p, int(i), x) for i in batch) / len(batch)
+    direct = sum(batch_mean_grad(p, x, [int(i)]) for i in batch) / len(batch)
     got = batch_mean_grad(p, x, batch)
     assert np.linalg.norm(direct - got) <= 1e-12
 
@@ -213,23 +210,5 @@ def test_problem_validation(tiny_dataset):
         )
 
 
-def test_grad_component_index_bounds(tiny_dataset):
-    p = build_fused_logistic(tiny_dataset, 0.0)
-    with pytest.raises(IndexError):
-        grad_component(p, p.n, np.zeros(tiny_dataset.d))
-    with pytest.raises(IndexError):
-        grad_component(p, -1, np.zeros(tiny_dataset.d))
-
-
 def test_penalty_value():
     assert penalty_value(NonsmoothSpec(0.5), np.array([1.0, -2.0, 0.0])) == 1.5
-
-
-def test_constraint_csv_roundtrip(tmp_path, tiny_dataset):
-    p = build_graph_guided(tiny_dataset, 0.1, 0.0, corr_threshold=0.6)
-    prefix = tmp_path / "graph"
-    save_constraint_csv(p.constraint, prefix)
-    back = load_constraint_csv(prefix)
-    assert np.array_equal(back.A, p.constraint.A)
-    assert np.array_equal(back.B, p.constraint.B)
-    assert np.array_equal(back.c, p.constraint.c)

@@ -3,8 +3,7 @@ import pytest
 from absadmm.schedulers import (
     SchedulerParams,
     TauAccumulator,
-    abs_sadmm_batch,
-    abs_vr_batch,
+    adaptive_batch,
     static_batch,
     tau_update,
 )
@@ -29,33 +28,32 @@ def test_static_ceil():
 
 def test_abs_sadmm_frozen():
     # progress term 1*1/0.01 = 100 beats the 3000 cap
-    assert abs_sadmm_batch(_sp(), prev_diff_sq=0.01) == 100
+    assert adaptive_batch(_sp(), 0.01) == 100
     # zero displacement disables the progress term
-    assert abs_sadmm_batch(_sp(), prev_diff_sq=0.0) == 3000
-    assert abs_sadmm_batch(_sp(n=50), prev_diff_sq=0.0) == 50
+    assert adaptive_batch(_sp(), 0.0) == 3000
+    assert adaptive_batch(_sp(n=50), 0.0) == 50
 
 
 def test_abs_sadmm_exact_n_boundary():
-    # c_tau*sigma2/diff^2 == n exactly stays at n
+    # c_tau*sigma2/tau == n exactly stays at n
     sp = _sp(n=50)
-    assert abs_sadmm_batch(sp, prev_diff_sq=1.0 / 50.0) == 50
+    assert adaptive_batch(sp, 1.0 / 50.0) == 50
 
 
 def test_abs_sadmm_ceil():
-    assert abs_sadmm_batch(_sp(), prev_diff_sq=1.0 / 99.2) == 100
+    assert adaptive_batch(_sp(), 1.0 / 99.2) == 100
 
 
 def test_abs_vr_matches_rule():
     sp = _sp(c_tau=2.0, sigma2=3.0)
     # 2*3/tau vs 3*3/1e-3 = 9000 vs n
-    assert abs_vr_batch(sp, tau=0.5) == 12
-    assert abs_vr_batch(sp, tau=0.0) == 9000
-    assert abs_vr_batch(_sp(n=40), tau=1e-9) == 40
+    assert adaptive_batch(sp, 0.5) == 12
+    assert adaptive_batch(sp, 0.0) == 9000
+    assert adaptive_batch(_sp(n=40), 1e-9) == 40
 
 
 def test_batch_floor():
-    assert abs_sadmm_batch(_sp(sigma2=1e-12), prev_diff_sq=10.0) == 1
-    assert abs_vr_batch(_sp(sigma2=1e-12), tau=10.0) == 1
+    assert adaptive_batch(_sp(sigma2=1e-12), 10.0) == 1
 
 
 def test_tau_accumulator_window():
