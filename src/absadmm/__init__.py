@@ -1,6 +1,6 @@
 """Stochastic linearized ADMM with static and adaptive mini-batch sizes.
 
-Solves finite-sum composite problems min f(x) + g(y) s.t. Ax + By = c with
+Solves finite-sum composite problems min f(x) + g(y) s.t. Ax - y = 0 with
 three stochastic gradient schemes (plain mini-batch, snapshot-anchored, and
 recursive), each available with a fixed or an adaptive batch-size rule, plus
 an experiment harness that reproduces oracle-complexity comparisons.

@@ -8,8 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import extreme_eigvals_ata
-from .problems import ProblemInstance
+from .problems import ConstraintSpec, ProblemInstance
 
 __all__ = [
     "SadmmFeasibility",
@@ -88,12 +87,13 @@ def estimate_L(p: ProblemInstance) -> float:
     return curv * row_sq + p.ridge
 
 
-def spectral_bounds(A: np.ndarray, dense_cutoff: int = 2000):
-    """(varsigma, opnorm): smallest and largest eigenvalue of A^T A."""
-    lo, hi = extreme_eigvals_ata(A, dense_cutoff=dense_cutoff)
-    if lo < 1e-12:
-        raise ValueError("A is rank deficient: smallest eigenvalue of A^T A < 1e-12")
-    return lo, hi
+def spectral_bounds(constraint: ConstraintSpec):
+    """(varsigma, opnorm): smallest and largest eigenvalue of A^T A.
+
+    Both are exact and cached on the constraint, which also rejects a rank
+    deficient A when it is built.
+    """
+    return constraint.spectrum
 
 
 def metric_eigenvalue_range(beta: float, eta: float, r: float, varsigma: float, opnorm: float):
@@ -236,9 +236,9 @@ def advise(
     eta are supplied; the presets are always computed.
     """
     L = estimate_L(p)
-    varsigma, opnorm = spectral_bounds(p.constraint.A)
+    varsigma, opnorm = spectral_bounds(p.constraint)
     norm_A = math.sqrt(opnorm)
-    norm_B = math.sqrt(max(np.linalg.eigvalsh(p.constraint.B.T @ p.constraint.B)))
+    norm_B = 1.0  # B = -I
     feas = None
     if beta is not None and eta is not None:
         r = beta * eta * opnorm + 1.0

@@ -183,6 +183,21 @@ def _section(doc, key):
     return val
 
 
+def _int(value, key):
+    """An integer config value (None passes through); never truncates."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     try:
@@ -229,9 +244,9 @@ def load_config(path) -> ExperimentConfig:
                     c_eps=float(entry.get("c_eps", 1.0)),
                     epsilon=float(entry.get("epsilon", 1e-3)),
                     tau_init=float(entry.get("tau_init", 0.0)),
-                    b=int(entry.get("b", 1)),
-                    T=int(entry.get("T", 1)),
-                    q=int(entry.get("q", 1)),
+                    b=_int(entry.get("b", 1), "b"),
+                    T=_int(entry.get("T", 1), "T"),
+                    q=_int(entry.get("q", 1), "q"),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -240,25 +255,23 @@ def load_config(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             dataset_path=str(_need(ds, "path", "dataset")),
-            d_hint=None if ds.get("d_hint") is None else int(ds["d_hint"]),
-            normalize=bool(ds.get("normalize", False)),
-            split=bool(split.get("enabled", True)),
+            d_hint=_int(ds.get("d_hint"), "dataset.d_hint"),
+            normalize=_bool(ds.get("normalize", False), "dataset.normalize"),
+            split=_bool(split.get("enabled", True), "split.enabled"),
             problem_kind=kind,
             l1=float(_need(prob, "l1", "problem")),
             l2=float(prob.get("l2", 0.0)),
             corr_threshold=float(prob.get("corr_threshold", 0.7)),
             methods=tuple(methods),
-            seed=int(doc.get("seed", 0)),
-            repeats=int(doc.get("repeats", 5)),
-            workers=int(doc.get("workers", 1)),
-            max_iters=int(_need(budget, "max_iters", "budget")),
-            oracle_budget=(
-                None if budget.get("oracle_budget") is None else int(budget["oracle_budget"])
-            ),
+            seed=_int(doc.get("seed", 0), "seed"),
+            repeats=_int(doc.get("repeats", 5), "repeats"),
+            workers=_int(doc.get("workers", 1), "workers"),
+            max_iters=_int(_need(budget, "max_iters", "budget"), "budget.max_iters"),
+            oracle_budget=_int(budget.get("oracle_budget"), "budget.oracle_budget"),
             target_epsilon=(
                 None if budget.get("target_epsilon") is None else float(budget["target_epsilon"])
             ),
-            eval_stride=None if doc.get("eval_stride") is None else int(doc["eval_stride"]),
+            eval_stride=_int(doc.get("eval_stride"), "eval_stride"),
             sigma2=None if doc.get("sigma2") is None else float(doc["sigma2"]),
         )
     except (TypeError, ValueError) as exc:
@@ -362,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         x0 = np.zeros(train.d)
         sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
     L = estimate_L(problem)
-    varsigma, opnorm = spectral_bounds(problem.constraint.A)
+    varsigma, opnorm = spectral_bounds(problem.constraint)
 
     # build each method's solver config once, surfacing bad method parameters
     # as config errors before any cell runs

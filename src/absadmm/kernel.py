@@ -1,18 +1,18 @@
 """One linearized ADMM iteration: y update, metric-linearized x update, dual update.
 
-The x update minimizes the linearization of the augmented Lagrangian around
-x_k under the metric G = r*I - beta*eta*A^T A, which reduces to the closed
-form  x_{k+1} = x_k - (eta/r) * (v - A^T lam + beta * A^T (A x_k + B y_{k+1} - c)),
-so no linear solve is required.  Choosing r >= beta*eta*||A^T A|| + 1 keeps
-the smallest eigenvalue of G at least 1.
+The problem is split as Ax - y = 0, and A enters only through the
+constraint's O(nnz) products ``matvec`` (A x) and ``rmatvec`` (A^T u).  The x
+update minimizes the linearization of the augmented Lagrangian around x_k
+under the metric G = r*I - beta*eta*A^T A, which reduces to the closed form
+x_{k+1} = x_k - (eta/r) * (v - A^T lam + beta * A^T (A x_k - y_{k+1})), so no
+linear solve is required.  The default r = beta*eta*||A^T A|| + 1 uses the
+constraint's exact spectrum, so the smallest eigenvalue of G is 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedProblemError
-from .linalg import power_opnorm
 from .problems import ProblemInstance, full_gradient, prox_g
 
 __all__ = [
@@ -69,9 +69,7 @@ def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
     An explicit r below that threshold (metric not positive definite enough)
     is rejected.
     """
-    A = constraint.A
-    opnorm = power_opnorm(A.T @ A)
-    floor = beta * eta * opnorm + 1.0
+    floor = beta * eta * constraint.spectrum[1] + 1.0
     if r is None:
         r = floor
     elif r < floor * (1.0 - 1e-9):
@@ -80,50 +78,43 @@ def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
 
 
 def _residual(p: ProblemInstance, x, y):
-    cs = p.constraint
-    return cs.A @ x + cs.B @ y - cs.c
+    return p.constraint.matvec(x) - y
 
 
 def y_step(p: ProblemInstance, params: AdmmParams, x, lam):
-    """Exact y update: prox of g/beta at Ax - lam/beta (needs B = -I, c = 0)."""
-    if not p.canonical_split:
-        raise UnsupportedProblemError("y step requires the split form B = -I, c = 0")
-    return prox_g(p.constraint.A @ x - lam / params.beta, 1.0 / params.beta, p.g)
+    """Exact y update: prox of g/beta at Ax - lam/beta."""
+    return prox_g(p.constraint.matvec(x) - lam / params.beta, 1.0 / params.beta, p.g)
 
 
 def x_step(p: ProblemInstance, params: AdmmParams, x, y_new, lam, v):
     """Linearized x update given gradient estimate v."""
     cs = p.constraint
-    res = cs.A @ x + cs.B @ y_new - cs.c
-    step = v - cs.A.T @ lam + params.beta * (cs.A.T @ res)
+    step = v - cs.rmatvec(lam) + params.beta * cs.rmatvec(_residual(p, x, y_new))
     return x - (params.eta / params.r) * step
 
 
 def dual_step(p: ProblemInstance, params: AdmmParams, x_new, y_new, lam):
-    """Dual update lam - beta * (A x_{k+1} + B y_{k+1} - c)."""
+    """Dual update lam - beta * (A x_{k+1} - y_{k+1})."""
     return lam - params.beta * _residual(p, x_new, y_new)
 
 
 def metric_apply(p: ProblemInstance, params: AdmmParams, dx):
     """(G/eta) dx with G = r*I - beta*eta*A^T A."""
-    A = p.constraint.A
-    return (params.r / params.eta) * dx - params.beta * (A.T @ (A @ dx))
+    cs = p.constraint
+    return (params.r / params.eta) * dx - params.beta * cs.rmatvec(cs.matvec(dx))
 
 
 def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
     """Squared stationarity residuals at w.
 
     grad_term    ||grad f(x) - A^T lam||^2
-    subgrad_term dist(B^T lam, subdiff g(y))^2 for the weighted L1 penalty
-    feas_term    ||Ax + By - c||^2
+    subgrad_term dist(-lam, subdiff g(y))^2 for the weighted L1 penalty
+    feas_term    ||Ax - y||^2
 
     Uses one exact full gradient; callers account for its oracle cost.
     """
-    if not p.canonical_split:
-        raise UnsupportedProblemError("stationarity requires the split form B = -I, c = 0")
-    cs = p.constraint
     grad = full_gradient(p, w.x)
-    gt = grad - cs.A.T @ w.lam
+    gt = grad - p.constraint.rmatvec(w.lam)
     grad_term = float(gt @ gt)
     u = -w.lam  # B^T lam with B = -I
     wgt = p.g.weight

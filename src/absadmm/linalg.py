@@ -1,46 +1,31 @@
-"""Spectral helpers for the coupling matrix A."""
+"""The spectral routine for the coupling matrix A, stored as COO triplets."""
 
 import numpy as np
 
-__all__ = ["power_opnorm", "extreme_eigvals_ata"]
+__all__ = ["extreme_eigvals_ata"]
 
 
-def power_opnorm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def _gram(rows, cols, vals, d1: int) -> np.ndarray:
+    """Dense d1 x d1 Gram matrix A^T A of the triplets (rows, cols, vals).
 
-    Stops when the eigen-residual ||Mv - lam*v|| falls below tol*max(1, lam).
-    The start vector is drawn from a fixed seed, so the result is deterministic.
+    Every pair of entries sharing a row adds vals[i] * vals[j] at
+    (cols[i], cols[j]), so the cost is the sum of squared row lengths: about
+    2 * nnz for incidence rows, and never an m x m or m x d1 array.
     """
-    d = M.shape[0]
-    v = np.random.default_rng(0).standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # M is the zero matrix
-            return 0.0
-        v = w / nw
-        lam = float(v @ (M @ v))
-        if np.linalg.norm(M @ v - lam * v) <= tol * max(1.0, lam):
-            break
-    return lam
+    order = np.argsort(rows, kind="stable")
+    r, c, v = rows[order], cols[order], vals[order]
+    # after the sort a row's entries are contiguous; pair each entry with
+    # every entry of its row, [first, first + per)
+    first = np.searchsorted(r, r, side="left")
+    per = np.searchsorted(r, r, side="right") - first
+    start = np.cumsum(per) - per  # where each entry's pairs begin
+    left = np.repeat(np.arange(r.size), per)
+    right = np.arange(left.size) + np.repeat(first - start, per)
+    flat = c[left] * d1 + c[right]
+    return np.bincount(flat, weights=v[left] * v[right], minlength=d1 * d1).reshape(d1, d1)
 
 
-def extreme_eigvals_ata(A: np.ndarray, dense_cutoff: int = 2000):
-    """(smallest, largest) eigenvalue of A^T A.
-
-    Uses a direct symmetric eigensolve up to ``dense_cutoff`` columns; beyond
-    that, power iteration for the largest eigenvalue and shift-inverted power
-    iteration for the smallest.
-    """
-    AtA = A.T @ A
-    d = AtA.shape[0]
-    if d <= dense_cutoff:
-        w = np.linalg.eigvalsh(AtA)
-        return float(w[0]), float(w[-1])
-    hi = power_opnorm(AtA)
-    # Inverse iteration on A^T A converges to the smallest eigenpair.
-    inv = np.linalg.inv(AtA)
-    lo_inv = power_opnorm(inv)
-    return 1.0 / lo_inv, hi
+def extreme_eigvals_ata(rows, cols, vals, d1: int):
+    """(smallest, largest) eigenvalue of A^T A by one dense symmetric eigensolve."""
+    w = np.linalg.eigvalsh(_gram(rows, cols, vals, d1))
+    return float(w[0]), float(w[-1])

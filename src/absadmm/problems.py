@@ -1,17 +1,18 @@
-"""Problem construction: composite objectives f(x) + g(y) subject to Ax + By = c.
+"""Problem construction: composite objectives f(x) + g(y) subject to Ax - y = 0.
 
 The smooth part f is a finite-sum loss (logistic or sigmoid) plus an optional
-ridge term; the nonsmooth part g is a weighted L1 penalty applied through a
-linear map.  Both built-in problem families use the canonical split form
-B = -I, c = 0, so the penalty acts on y = Ax.
+ridge term; the nonsmooth part g is a weighted L1 penalty on y = Ax.  A is
+stored as COO triplets and applied in O(nnz); both built-in families make it
+sparse (a difference matrix, or edge rows stacked over the identity).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import Dataset
 from .errors import UnsupportedProblemError
+from .linalg import extreme_eigvals_ata
 
 __all__ = [
     "ConstraintSpec",
@@ -35,46 +36,64 @@ Z_CLIP = 35.0
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Linear coupling Ax + By = c with A full column rank."""
+    """The split Ax - y = 0, with A (m x d1, full column rank) as COO triplets.
 
-    A: np.ndarray
-    B: np.ndarray
-    c: np.ndarray
+    B = -I and c = 0 are implied, so the penalty acts on y = Ax.  Entries that
+    repeat a (row, col) pair add up.  The extreme eigenvalues of A^T A are
+    computed once, here, and cached as ``spectrum`` = (smallest, largest).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    m: int
+    d1: int
+    spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
-        B = np.ascontiguousarray(np.asarray(self.B, dtype=np.float64))
-        c = np.ascontiguousarray(np.asarray(self.c, dtype=np.float64))
-        if A.ndim != 2 or B.ndim != 2 or c.ndim != 1:
-            raise ValueError("A and B must be 2-d, c 1-d")
-        m = A.shape[0]
-        if B.shape[0] != m or c.shape[0] != m:
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        vals = np.asarray(self.vals, dtype=np.float64)
+        m, d1 = int(self.m), int(self.d1)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != vals.shape:
             raise ValueError(
-                f"row counts disagree: A {A.shape}, B {B.shape}, c {c.shape}"
+                f"rows, cols and vals must be 1-d of one length: "
+                f"{rows.shape}, {cols.shape}, {vals.shape}"
             )
-        for name, arr in (("A", A), ("B", B), ("c", c)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        if d1 < 1:
+            raise ValueError("d1 must be at least 1")
+        if rows.size and not (
+            0 <= rows.min() and rows.max() < m and 0 <= cols.min() and cols.max() < d1
+        ):
+            raise ValueError(f"triplet index outside the {m} x {d1} matrix")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("vals contains non-finite entries")
         # Assumption on the coupling: A^T A must be positive definite.
-        if np.linalg.eigvalsh(A.T @ A)[0] < 1e-12:
+        lo, hi = extreme_eigvals_ata(rows, cols, vals, d1)
+        if lo < 1e-12:
             raise ValueError("A is rank deficient: smallest eigenvalue of A^T A < 1e-12")
-        for arr in (A, B, c):
+        for arr in (rows, cols, vals):
             arr.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "c", c)
+        for name, value in (
+            ("rows", rows), ("cols", cols), ("vals", vals), ("m", m), ("d1", d1),
+            ("spectrum", (lo, hi)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x in O(nnz)."""
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.m)
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """A^T @ u in O(nnz)."""
+        return np.bincount(self.cols, self.vals * u[self.rows], minlength=self.d1)
 
     @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d1(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def d2(self) -> int:
-        return self.B.shape[1]
+    def A(self) -> np.ndarray:
+        """A as a dense m x d1 array, built anew on every access."""
+        A = np.zeros((self.m, self.d1))
+        np.add.at(A, (self.rows, self.cols), self.vals)
+        return A
 
 
 @dataclass(frozen=True)
@@ -93,7 +112,7 @@ class NonsmoothSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A finite-sum composite problem min f(x) + g(y) s.t. Ax + By = c."""
+    """A finite-sum composite problem min f(x) + g(y) s.t. Ax - y = 0."""
 
     dataset: Dataset
     loss: str
@@ -110,22 +129,10 @@ class ProblemInstance:
             raise ValueError(
                 f"A has {self.constraint.d1} columns but data has {self.dataset.d} features"
             )
-        cs = self.constraint
-        canonical = (
-            cs.d2 == cs.m
-            and np.array_equal(cs.B, -np.eye(cs.m))
-            and not cs.c.any()
-        )
-        object.__setattr__(self, "_canonical_split", canonical)
 
     @property
     def n(self) -> int:
         return self.dataset.n
-
-    @property
-    def canonical_split(self) -> bool:
-        """True when B = -I and c = 0, i.e. the penalty acts on y = Ax."""
-        return self._canonical_split
 
 
 def _loss_slopes(loss: str, z: np.ndarray) -> np.ndarray:
@@ -183,7 +190,7 @@ def penalty_value(g: NonsmoothSpec, y: np.ndarray) -> float:
 
 def objective(p: ProblemInstance, x: np.ndarray) -> float:
     """Composite objective f(x) + g(Ax)."""
-    return smooth_value(p, x) + penalty_value(p.g, p.constraint.A @ x)
+    return smooth_value(p, x) + penalty_value(p.g, p.constraint.matvec(x))
 
 
 def prox_g(v: np.ndarray, t: float, g: NonsmoothSpec) -> np.ndarray:
@@ -194,14 +201,18 @@ def prox_g(v: np.ndarray, t: float, g: NonsmoothSpec) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
 
-def build_difference_matrix(d: int) -> np.ndarray:
-    """Square d x d forward-difference matrix: unit diagonal, -1 superdiagonal."""
+def build_difference_matrix(d: int) -> ConstraintSpec:
+    """Square d x d forward-difference operator: unit diagonal, -1 superdiagonal."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    A = np.eye(d)
-    idx = np.arange(d - 1)
-    A[idx, idx + 1] = -1.0
-    return A
+    diag, sup = np.arange(d), np.arange(d - 1)
+    return ConstraintSpec(
+        rows=np.concatenate([diag, sup]),
+        cols=np.concatenate([diag, sup + 1]),
+        vals=np.concatenate([np.ones(d), -np.ones(d - 1)]),
+        m=d,
+        d1=d,
+    )
 
 
 def build_fused_logistic(ds: Dataset, weight: float) -> ProblemInstance:
@@ -211,14 +222,11 @@ def build_fused_logistic(ds: Dataset, weight: float) -> ProblemInstance:
     with A the square difference matrix, written as the split problem
     f(x) + g(y) s.t. Ax - y = 0.
     """
-    d = ds.d
-    A = build_difference_matrix(d)
-    cs = ConstraintSpec(A=A, B=-np.eye(d), c=np.zeros(d))
     return ProblemInstance(
         dataset=ds,
         loss="logistic",
         ridge=0.0,
-        constraint=cs,
+        constraint=build_difference_matrix(ds.d),
         g=NonsmoothSpec(weight=weight),
     )
 
@@ -236,22 +244,22 @@ def build_graph_guided(
     if not 0.0 < corr_threshold <= 1.0:
         raise ValueError("corr_threshold must lie in (0, 1]")
     d = ds.d
-    rows = []
+    heads = tails = np.zeros(0, dtype=np.intp)
     if d > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.corrcoef(ds.features, rowvar=False)
         corr = np.nan_to_num(corr, nan=0.0)  # constant columns carry no edges
-        for a in range(d):
-            for b in range(a + 1, d):
-                if abs(corr[a, b]) >= corr_threshold:
-                    row = np.zeros(d)
-                    row[a] = 1.0
-                    row[b] = -1.0
-                    rows.append(row)
-    G = np.vstack(rows) if rows else np.zeros((0, d))
-    A = np.vstack([G, np.eye(d)])
-    m = A.shape[0]
-    cs = ConstraintSpec(A=A, B=-np.eye(m), c=np.zeros(m))
+        heads, tails = np.triu_indices(d, k=1)  # pairs (p < q) in row-major order
+        keep = np.abs(corr[heads, tails]) >= corr_threshold
+        heads, tails = heads[keep], tails[keep]
+    e = heads.size
+    cs = ConstraintSpec(
+        rows=np.concatenate([np.repeat(np.arange(e), 2), e + np.arange(d)]),
+        cols=np.concatenate([np.column_stack([heads, tails]).ravel(), np.arange(d)]),
+        vals=np.concatenate([np.tile([1.0, -1.0], e), np.ones(d)]),
+        m=e + d,
+        d1=d,
+    )
     return ProblemInstance(
         dataset=ds,
         loss="sigmoid",

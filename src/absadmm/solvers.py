@@ -155,7 +155,7 @@ class _EvalClock:
 
 def _init_state(p: ProblemInstance) -> SolverState:
     x0 = np.zeros(p.constraint.d1)
-    y0 = np.zeros(p.constraint.d2)
+    y0 = np.zeros(p.constraint.m)
     lam0 = np.zeros(p.constraint.m)
     return SolverState(x=x0, y=y0, lam=lam0, tally=OracleTally())
 

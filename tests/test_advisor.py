@@ -14,7 +14,7 @@ from absadmm.advisor import (
     svrg_preset,
 )
 from absadmm.datasets import Dataset
-from absadmm.problems import build_difference_matrix, build_fused_logistic
+from absadmm.problems import ConstraintSpec, build_difference_matrix, build_fused_logistic
 
 
 @pytest.fixture
@@ -43,23 +43,15 @@ def test_spectral_bounds_matches_dense_eigh():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(12, 7))
     eigs = np.linalg.eigvalsh(A.T @ A)
-    lo, hi = spectral_bounds(A)
+    rows, cols = np.indices(A.shape).reshape(2, -1)
+    lo, hi = spectral_bounds(ConstraintSpec(rows, cols, A.ravel(), 12, 7))
     assert lo == pytest.approx(eigs[0], rel=1e-10)
     assert hi == pytest.approx(eigs[-1], rel=1e-10)
 
 
-def test_spectral_bounds_iterative_path_agrees():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(9, 5))
-    dense = spectral_bounds(A)
-    iterative = spectral_bounds(A, dense_cutoff=1)
-    assert iterative[0] == pytest.approx(dense[0], rel=1e-8)
-    assert iterative[1] == pytest.approx(dense[1], rel=1e-8)
-
-
 def test_spectral_bounds_rank_deficient():
     with pytest.raises(ValueError, match="rank deficient"):
-        spectral_bounds(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        spectral_bounds(ConstraintSpec([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2))
 
 
 def test_metric_range_default_r_floor():

@@ -150,7 +150,7 @@ def test_estimate_sigma2_population_frozen():
     # two mirrored samples at x=0: gradients are -+0.5, full gradient 0,
     # every deviation has squared norm 0.25
     ds = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-    cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
+    cs = ConstraintSpec([0], [0], [1.0], 1, 1)
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))
     rng = np.random.default_rng(0)
     assert estimate_sigma2(p, np.zeros(1), 2, rng) == pytest.approx(0.25, abs=1e-15)

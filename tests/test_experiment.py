@@ -112,6 +112,41 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "mutate,msg",
+    [
+        (lambda d: d["dataset"].update(normalize="false"), "dataset.normalize"),
+        (lambda d: d["dataset"].update(normalize=1), "dataset.normalize"),
+        (lambda d: d["split"].update(enabled="no"), "split.enabled"),
+        (lambda d: d.update(repeats=2.7), "repeats"),
+        (lambda d: d.update(repeats=True), "repeats"),
+        (lambda d: d.update(workers=1.5), "workers"),
+        (lambda d: d["budget"].update(max_iters=8.5), "budget.max_iters"),
+        (lambda d: d["budget"].update(oracle_budget=100.5), "budget.oracle_budget"),
+        (lambda d: d.update(eval_stride=2.5), "eval_stride"),
+        (lambda d: d["dataset"].update(d_hint="4"), "dataset.d_hint"),
+        (lambda d: d["methods"][0].update(b=2.5), r"methods\[0\]: b"),
+        (lambda d: d["methods"][1].update(T=1.5), r"methods\[1\]: T"),
+        (lambda d: d["methods"][1].update(q=3.3), r"methods\[1\]: q"),
+    ],
+)
+def test_load_config_rejects_mistyped_values(tmp_path, data_file, capsys, mutate, msg):
+    doc = _config_doc(data_file)
+    mutate(doc)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=msg):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_load_config_accepts_integral_floats(config_file):
+    cfg = load_config(config_file(repeats=2.0, budget={"max_iters": 8.0, "oracle_budget": 1.0e5}))
+    assert cfg.repeats == 2 and type(cfg.repeats) is int
+    assert cfg.max_iters == 8 and cfg.oracle_budget == 100000
+
+
 def test_load_config_root_not_mapping(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text("- a\n- b\n")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from absadmm.errors import UnsupportedProblemError
 from absadmm.kernel import (
     AdmmParams,
     SolverState,
@@ -93,20 +92,9 @@ def test_y_step_zero_weight_is_projection(fused):
     assert np.array_equal(y_step(p0, params, x, lam), p0.constraint.A @ x - lam / 2.0)
 
 
-def test_y_step_requires_canonical_split(tiny_dataset):
-    d = tiny_dataset.d
-    cs = ConstraintSpec(np.eye(d), np.eye(d), np.zeros(d))  # B = +I
-    p = ProblemInstance(tiny_dataset, "logistic", 0.0, cs, NonsmoothSpec(0.1))
-    params = AdmmParams(1.0, 1.0, 10.0)
-    with pytest.raises(UnsupportedProblemError):
-        y_step(p, params, np.zeros(d), np.zeros(d))
-    with pytest.raises(UnsupportedProblemError):
-        stationarity(p, SolverState(np.zeros(d), np.zeros(d), np.zeros(d), np.zeros(d)))
-
-
 def test_x_step_solves_surrogate(fused):
-    # oracle: minimize v^T(u-x) + (1/2eta)||u-x||_G^2 - lam^T(Au+By-c)
-    #         + (beta/2)||Au+By-c||^2 by assembling the normal equations
+    # oracle: minimize v^T(u-x) + (1/2eta)||u-x||_G^2 - lam^T(Au-y)
+    #         + (beta/2)||Au-y||^2 by assembling the normal equations
     params = make_admm_params(fused.constraint, beta=2.5, eta=0.4)
     cs = fused.constraint
     rng = np.random.default_rng(3)
@@ -116,7 +104,7 @@ def test_x_step_solves_surrogate(fused):
     v = rng.standard_normal(6)
     G = _metric_matrix(fused, params)
     H = G / params.eta + params.beta * (cs.A.T @ cs.A)
-    rhs = G @ x / params.eta - v + cs.A.T @ lam - params.beta * cs.A.T @ (cs.B @ y_new - cs.c)
+    rhs = G @ x / params.eta - v + cs.A.T @ lam + params.beta * cs.A.T @ y_new
     oracle = np.linalg.solve(H, rhs)
     got = x_step(fused, params, x, y_new, lam, v)
     assert np.linalg.norm(got - oracle) <= 1e-12
@@ -125,7 +113,7 @@ def test_x_step_solves_surrogate(fused):
         fused.dataset.__class__(np.array([[1.0]]), np.array([1.0])),
         "logistic",
         0.0,
-        ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1)),
+        ConstraintSpec([0], [0], [1.0], 1, 1),
         NonsmoothSpec(0.0),
     )
     p1 = AdmmParams(beta=1.0, eta=1.0, r=2.0)
@@ -180,9 +168,31 @@ def test_stationarity_zero_at_unconstrained_optimum():
     from absadmm.datasets import Dataset
 
     ds = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-    cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
+    cs = ConstraintSpec([0], [0], [1.0], 1, 1)
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))
     # gradient is odd in x here, so x=0 is the minimizer
     w = SolverState(x=np.zeros(1), y=np.zeros(1), lam=np.zeros(1))
     rep = stationarity(p, w)
     assert rep.total == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["fused_d2000", "graph_guided"])
+def test_default_r_keeps_metric_above_identity(kind):
+    # G = r*I - beta*eta*A^T A with the default r has smallest eigenvalue >= 1,
+    # checked by an eigensolve of the dense A that the solver never builds
+    from absadmm.datasets import Dataset
+    from absadmm.problems import build_difference_matrix, build_graph_guided
+
+    if kind == "fused_d2000":
+        cs = build_difference_matrix(2000)
+    else:
+        rng = np.random.default_rng(8)
+        latent = rng.standard_normal((100, 30))
+        groups = rng.integers(0, 30, size=120)  # feature groups of uneven size
+        feats = latent[:, groups] + 0.5 * rng.standard_normal((100, 120))
+        cs = build_graph_guided(Dataset(feats, np.ones(100)), 0.1, 0.0, 0.6).constraint
+        assert cs.m > 300
+    params = make_admm_params(cs, beta=5.0, eta=1.0)
+    A = cs.A
+    G = params.r * np.eye(cs.d1) - params.beta * params.eta * (A.T @ A)
+    assert np.linalg.eigvalsh(G)[0] >= 1.0 - 1e-12

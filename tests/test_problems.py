@@ -34,17 +34,21 @@ def _component_value(p, i, x):
     return val + 0.5 * p.ridge * float(x @ x)
 
 
+def _identity(d):
+    return ConstraintSpec(np.arange(d), np.arange(d), np.ones(d), d, d)
+
+
 def test_difference_matrix_frozen():
-    assert np.array_equal(build_difference_matrix(2), [[1.0, -1.0], [0.0, 1.0]])
-    assert np.array_equal(build_difference_matrix(1), [[1.0]])
-    A = build_difference_matrix(4)
+    assert np.array_equal(build_difference_matrix(2).A, [[1.0, -1.0], [0.0, 1.0]])
+    assert np.array_equal(build_difference_matrix(1).A, [[1.0]])
+    A = build_difference_matrix(4).A
     assert np.array_equal(np.diag(A), np.ones(4))
     assert np.array_equal(np.diag(A, k=1), -np.ones(3))
     assert np.count_nonzero(A) == 7
 
 
 def test_difference_matrix_eigs_frozen():
-    A = build_difference_matrix(2)
+    A = build_difference_matrix(2).A
     eigs = np.linalg.eigvalsh(A.T @ A)
     assert eigs[0] == pytest.approx(0.3819660112501051, abs=1e-14)
     assert eigs[1] == pytest.approx(2.618033988749895, abs=1e-14)
@@ -57,7 +61,7 @@ def test_pointwise_loss_values_frozen():
     p_log = build_fused_logistic(ds, 0.0)
     assert smooth_value(p_log, x) == pytest.approx(0.4740769841801067, abs=1e-15)
     assert batch_mean_grad(p_log, x, [0])[0] == pytest.approx(-0.3775406687981454, abs=1e-15)
-    cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
+    cs = _identity(1)
     p_sig = ProblemInstance(ds, "sigmoid", 0.0, cs, NonsmoothSpec(0.0))
     assert smooth_value(p_sig, x) == pytest.approx(0.3775406687981454, abs=1e-15)
     assert batch_mean_grad(p_sig, x, [0])[0] == pytest.approx(-0.2350037122015945, abs=1e-15)
@@ -65,7 +69,7 @@ def test_pointwise_loss_values_frozen():
 
 def test_extreme_margins_do_not_overflow():
     ds = Dataset(np.array([[200.0], [-200.0]]), np.array([1.0, 1.0]))
-    cs = ConstraintSpec(np.eye(1), -np.eye(1), np.zeros(1))
+    cs = _identity(1)
     for loss in ("logistic", "sigmoid"):
         p = ProblemInstance(ds, loss, 0.0, cs, NonsmoothSpec(0.0))
         x = np.array([1.0])
@@ -81,7 +85,7 @@ def test_gradients_match_finite_differences(make_dataset):
     ds = make_dataset(12, 5, seed=2)
     rng = np.random.default_rng(0)
     for loss, ridge in (("logistic", 0.0), ("sigmoid", 0.01)):
-        cs = ConstraintSpec(np.eye(5), -np.eye(5), np.zeros(5))
+        cs = _identity(5)
         p = ProblemInstance(ds, loss, ridge, cs, NonsmoothSpec(0.1))
         for _ in range(10):
             i = int(rng.integers(0, p.n))
@@ -142,10 +146,7 @@ def test_fused_builder_shapes(tiny_dataset):
     p = build_fused_logistic(tiny_dataset, 0.01)
     d = tiny_dataset.d
     assert p.loss == "logistic" and p.ridge == 0.0
-    assert np.array_equal(p.constraint.A, build_difference_matrix(d))
-    assert np.array_equal(p.constraint.B, -np.eye(d))
-    assert not p.constraint.c.any()
-    assert p.canonical_split
+    assert np.array_equal(p.constraint.A, build_difference_matrix(d).A)
 
 
 def test_graph_builder_edges():
@@ -158,7 +159,6 @@ def test_graph_builder_edges():
     assert np.array_equal(A[0], [1.0, -1.0, 0.0])
     assert np.array_equal(A[1:], np.eye(3))
     assert p.loss == "sigmoid" and p.ridge == 0.01
-    assert p.canonical_split
 
 
 def test_graph_builder_no_edges():
@@ -184,11 +184,22 @@ def test_graph_builder_threshold_range():
 
 def test_constraint_validation():
     with pytest.raises(ValueError, match="rank deficient"):
-        ConstraintSpec(np.ones((2, 2)), -np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError, match="row counts"):
-        ConstraintSpec(np.eye(2), -np.eye(3), np.zeros(2))
+        ConstraintSpec([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
+    with pytest.raises(ValueError, match="one length"):
+        ConstraintSpec([0, 1], [0, 1], np.ones(3), 2, 2)
+    with pytest.raises(ValueError, match="outside"):
+        ConstraintSpec([0, 2], [0, 1], np.ones(2), 2, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        ConstraintSpec(np.array([[np.inf]]), -np.eye(1), np.zeros(1))
+        ConstraintSpec([0], [0], [np.inf], 1, 1)
+
+
+def test_constraint_duplicates_add_up():
+    # two entries at (0, 0) sum to 3, so A = diag(3, 1) and A^T A = diag(9, 1)
+    cs = ConstraintSpec([0, 1, 0], [0, 1, 0], [1.0, 1.0, 2.0], 2, 2)
+    assert np.array_equal(cs.A, [[3.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(cs.matvec(np.array([1.0, 2.0])), [3.0, 2.0])
+    assert np.array_equal(cs.rmatvec(np.array([1.0, 2.0])), [3.0, 2.0])
+    assert cs.spectrum == pytest.approx((1.0, 9.0), rel=1e-14)
 
 
 def test_nonsmooth_validation():
@@ -199,14 +210,14 @@ def test_nonsmooth_validation():
 
 
 def test_problem_validation(tiny_dataset):
-    cs = ConstraintSpec(np.eye(3), -np.eye(3), np.zeros(3))
+    cs = _identity(3)
     with pytest.raises(ValueError, match="columns"):
         ProblemInstance(tiny_dataset, "logistic", 0.0, cs, NonsmoothSpec(0.0))
     with pytest.raises(UnsupportedProblemError):
         d = tiny_dataset.d
         ProblemInstance(
             tiny_dataset, "hinge", 0.0,
-            ConstraintSpec(np.eye(d), -np.eye(d), np.zeros(d)), NonsmoothSpec(0.0),
+            _identity(d), NonsmoothSpec(0.0),
         )
 
 

@@ -287,3 +287,23 @@ def test_pinned_trace(make_dataset, method):
     assert [r.iter for r in trace if r.stationarity is not None] == [5, 10, 12]
     got = tuple(r.objective for r in trace if r.iter in (1, 6, 12))
     assert got == pytest.approx(objectives, rel=1e-12, abs=0.0)
+
+
+def test_wide_graph_never_allocates_m_by_m(make_dataset):
+    # d = 2000 with a loose threshold gives m ~ 49k; a dense m x m array would
+    # take 18 GiB and the dense m x d matrix A alone 750 MiB
+    import tracemalloc
+
+    from absadmm.problems import build_graph_guided
+
+    tracemalloc.start()
+    try:
+        p = build_graph_guided(make_dataset(200, 2000, seed=41), 1e-3, 1e-3, 0.16)
+        cfg = _config(p, "spider_admm_adaptive", max_iters=20, b=8, q=5)
+        trace = run(p, cfg).trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.constraint.m > 40_000
+    assert len(trace) == 20 and trace[-1].stationarity is not None
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
