@@ -4,7 +4,8 @@ The solver loop drives one estimator per run.  At the head of each anchor
 window it calls ``anchor(x, batch, tally)`` with a without-replacement batch;
 that returns the step's gradient estimate v, or None when an inner step must
 follow.  ``step(x, batch, tally)`` returns v for an inner step on a
-with-replacement batch.  Every kind is built from ``minibatch_grad``.
+with-replacement batch.  Anchors take a ``minibatch_grad``; an inner step
+gathers its batch once and takes both of its gradients from those rows.
 
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
@@ -14,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, batch_mean_grad, full_gradient, _loss_slopes
+from .problems import (
+    ProblemInstance,
+    batch_mean_grad,
+    batch_mean_grads,
+    full_gradient,
+    _loss_slopes,
+)
 
 __all__ = [
     "OracleTally",
@@ -94,11 +101,10 @@ class SnapshotGradient:
     def step(self, x, batch, tally: OracleTally):
         if self.ref_grad is None:
             raise ValueError("inner step taken before an anchor set the reference point")
-        return (
-            minibatch_grad(self.p, x, batch, tally)
-            - minibatch_grad(self.p, self.ref_x, batch, tally)
-            + self.ref_grad
-        )
+        idx = np.sort(np.asarray(batch, dtype=np.intp))
+        tally.solver_calls += 2 * idx.shape[0]
+        g_x, g_ref = batch_mean_grads(self.p, (x, self.ref_x), idx)
+        return g_x - g_ref + self.ref_grad
 
 
 class RecursiveGradient(SnapshotGradient):

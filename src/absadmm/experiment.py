@@ -138,8 +138,12 @@ def emit_trace_csv(trace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _float_or_none(cell):
+    return float(cell) if cell else None
+
+
 def parse_trace_csv(path):
-    """Read back a trace CSV written by ``emit_trace_csv``."""
+    """Read back a trace CSV written by ``emit_trace_csv``; empty cells become None."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     header = lines[0].split(",")
@@ -155,14 +159,10 @@ def parse_trace_csv(path):
                 epoch=int(row["epoch"]),
                 batch_size=int(row["batch_size"]),
                 oracle_calls=int(row["oracle_calls"]),
-                objective=float(row["objective"]),
-                stationarity=float(row["stationarity"]) if row["stationarity"] else None,
+                objective=_float_or_none(row["objective"]),
+                stationarity=_float_or_none(row["stationarity"]),
                 time_ms=float(row["time_ms"]),
-                test_objective=(
-                    float(row["test_objective"])
-                    if row.get("test_objective")
-                    else None
-                ),
+                test_objective=_float_or_none(row.get("test_objective")),
             )
         )
     return out
@@ -323,13 +323,12 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         eval_calls = 0
         iterations = len(trace)
     else:
-        if trace and trace[-1].stationarity is not None:
-            final_stat = trace[-1].stationarity
-        else:
+        if trace:  # the stopping row is always an evaluation row
+            final_obj, final_stat = trace[-1].objective, trace[-1].stationarity
+        else:  # max_iters: 0
             report = stationarity(problem, state)
             state.tally.eval_calls += problem.n
-            final_stat = report.total
-        final_obj = trace[-1].objective if trace else objective(problem, state.x)
+            final_obj, final_stat = report.objective, report.total
         solver_calls = state.tally.solver_calls
         eval_calls = state.tally.eval_calls
         iterations = state.k

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, full_gradient, prox_g
+from .problems import ProblemInstance, penalty_value, prox_g, smooth_value_and_gradient
 
 __all__ = [
     "AdmmParams",
@@ -55,12 +55,14 @@ class SolverState:
 
 @dataclass(frozen=True)
 class StationarityReport:
-    """Squared residuals of the three stationarity conditions, and their sum."""
+    """Squared residuals of the three stationarity conditions, their sum, and
+    the composite objective f(x) + g(Ax) at the same point."""
 
     grad_term: float
     subgrad_term: float
     feas_term: float
     total: float
+    objective: float
 
 
 def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
@@ -105,15 +107,17 @@ def metric_apply(p: ProblemInstance, params: AdmmParams, dx):
 
 
 def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
-    """Squared stationarity residuals at w.
+    """Squared stationarity residuals at w, and the objective at w.x.
 
     grad_term    ||grad f(x) - A^T lam||^2
     subgrad_term dist(-lam, subdiff g(y))^2 for the weighted L1 penalty
     feas_term    ||Ax - y||^2
 
-    Uses one exact full gradient; callers account for its oracle cost.
+    One pass over the data gives both f(x) and the exact full gradient;
+    callers account for its oracle cost.
     """
-    grad = full_gradient(p, w.x)
+    f, grad = smooth_value_and_gradient(p, w.x)
+    ax = p.constraint.matvec(w.x)
     gt = grad - p.constraint.rmatvec(w.lam)
     grad_term = float(gt @ gt)
     u = -w.lam  # B^T lam with B = -I
@@ -121,11 +125,12 @@ def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
     on = w.y != 0.0
     sub = np.where(on, u - wgt * np.sign(w.y), np.maximum(np.abs(u) - wgt, 0.0))
     subgrad_term = float(sub @ sub)
-    res = _residual(p, w.x, w.y)
+    res = ax - w.y
     feas_term = float(res @ res)
     return StationarityReport(
         grad_term=grad_term,
         subgrad_term=subgrad_term,
         feas_term=feas_term,
         total=grad_term + subgrad_term + feas_term,
+        objective=f + penalty_value(p.g, ax),
     )

@@ -22,8 +22,10 @@ __all__ = [
     "build_fused_logistic",
     "build_graph_guided",
     "batch_mean_grad",
+    "batch_mean_grads",
     "full_gradient",
     "smooth_value",
+    "smooth_value_and_gradient",
     "objective",
     "penalty_value",
     "prox_g",
@@ -152,35 +154,60 @@ def _loss_values(loss: str, z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(z))
 
 
-def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
-    """Mean of per-component gradients over ``idx``, in the order given.
-
-    The reduction runs over the index order supplied by the caller, so a
-    canonical (sorted) order gives bit-reproducible results.
-    """
-    idx = np.asarray(idx, dtype=np.intp)
-    feats = p.dataset.features[idx]
-    labs = p.dataset.labels[idx]
-    z = labs * (feats @ x)
+def _mean_grad(p: ProblemInstance, x, feats, labs, z) -> np.ndarray:
+    """Mean component gradient at x over the rows (feats, labs) with margins z."""
     coef = _loss_slopes(p.loss, z) * labs
-    grad = feats.T @ coef / idx.shape[0]
+    grad = feats.T @ coef / labs.shape[0]
     if p.ridge:
         grad = grad + p.ridge * x
     return grad
 
 
-def full_gradient(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of f at x, reduced in index order 0..n-1."""
-    return batch_mean_grad(p, x, np.arange(p.n))
-
-
-def smooth_value(p: ProblemInstance, x: np.ndarray) -> float:
-    """Value of the smooth part f(x) = mean_i loss_i(x) + ridge/2 ||x||^2."""
-    z = p.dataset.labels * (p.dataset.features @ x)
+def _mean_value(p: ProblemInstance, x, z) -> float:
+    """Smooth part f(x) from the margins z of all rows."""
     val = float(np.mean(_loss_values(p.loss, z)))
     if p.ridge:
         val += 0.5 * p.ridge * float(x @ x)
     return val
+
+
+def batch_mean_grads(p: ProblemInstance, points, idx) -> list:
+    """Mean component gradients over ``idx`` at each of ``points``, in the order given.
+
+    The rows are gathered once for all points; the whole set in index order is
+    read in place.  The reduction runs over the index order supplied by the
+    caller, so a canonical (sorted) order gives bit-reproducible results.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    ds = p.dataset
+    if idx.shape[0] == ds.n and np.array_equal(idx, np.arange(ds.n)):
+        feats, labs = ds.features, ds.labels
+    else:
+        feats, labs = ds.features[idx], ds.labels[idx]
+    return [_mean_grad(p, x, feats, labs, labs * (feats @ x)) for x in points]
+
+
+def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
+    """Mean of per-component gradients over ``idx``, in the order given."""
+    return batch_mean_grads(p, (x,), idx)[0]
+
+
+def full_gradient(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
+    """Exact gradient of f at x, reduced in index order 0..n-1."""
+    ds = p.dataset
+    return _mean_grad(p, x, ds.features, ds.labels, ds.labels * (ds.features @ x))
+
+
+def smooth_value(p: ProblemInstance, x: np.ndarray) -> float:
+    """Value of the smooth part f(x) = mean_i loss_i(x) + ridge/2 ||x||^2."""
+    return _mean_value(p, x, p.dataset.labels * (p.dataset.features @ x))
+
+
+def smooth_value_and_gradient(p: ProblemInstance, x: np.ndarray):
+    """f(x) and its exact gradient from one pass over the data: X @ x is formed once."""
+    ds = p.dataset
+    z = ds.labels * (ds.features @ x)
+    return _mean_value(p, x, z), _mean_grad(p, x, ds.features, ds.labels, z)
 
 
 def penalty_value(g: NonsmoothSpec, y: np.ndarray) -> float:

@@ -13,6 +13,11 @@ the static ones at the cap.  Inner steps draw ``b`` indices with replacement
 from an independent stream, so static and adaptive runs with the same seed
 see the same inner randomness.  Every iteration applies the kernel updates in
 the fixed order y -> x -> dual.
+
+Only evaluation rows touch the whole data set: one pass there gives the
+objective and the stationarity residual together.  Every other row costs its
+batch plus the O(nnz(A)) kernel products.  The row that stops a run is
+always an evaluation row.
 """
 
 import time
@@ -30,7 +35,7 @@ from .estimators import (
     sample_indices,
 )
 from .kernel import AdmmParams, SolverState, dual_step, stationarity, x_step, y_step
-from .problems import ProblemInstance, objective
+from .problems import ProblemInstance
 from .schedulers import (
     SchedulerParams,
     TauAccumulator,
@@ -101,16 +106,16 @@ class TraceRecord:
 
     iter is 1-based; epoch is the anchor-window ordinal (0 for sadmm);
     batch_size is the scheduled draw of the step (anchor size on epoch-head
-    and refresh rows); oracle_calls is cumulative solver cost; stationarity
-    is present only on evaluation rows, test_objective only when a held-out
-    evaluator was attached.
+    and refresh rows); oracle_calls is cumulative solver cost; objective and
+    stationarity are present only on evaluation rows, test_objective only
+    there and when a held-out evaluator was attached.
     """
 
     iter: int
     epoch: int
     batch_size: int
     oracle_calls: int
-    objective: float
+    objective: Optional[float]
     stationarity: Optional[float]
     time_ms: float
     test_objective: Optional[float] = None
@@ -135,7 +140,7 @@ class StepInfo:
 
 
 class _EvalClock:
-    """Decides on which rows stationarity gets measured."""
+    """Decides on which rows the objective and stationarity get measured."""
 
     def __init__(self, stride, n):
         self.stride = stride
@@ -209,35 +214,34 @@ class _Loop:
         state.k += 1
 
         row = state.k
-        last = row >= cfg.max_iters
-        stat_total = None
+        over_budget = (
+            cfg.oracle_budget is not None and state.tally.solver_calls >= cfg.oracle_budget
+        )
+        last = row >= cfg.max_iters or over_budget
+        obj = stat_total = test_val = None
         if self.clock.due(row, state.tally.solver_calls, last):
             report = stationarity(p, state)
             state.tally.eval_calls += p.n
-            stat_total = report.total
-        test_val = None
-        if self.test_objective is not None and stat_total is not None:
-            test_val = self.test_objective(state.x)
+            obj, stat_total = report.objective, report.total
+            if self.test_objective is not None:
+                test_val = self.test_objective(state.x)
         self.trace.append(
             TraceRecord(
                 iter=row,
                 epoch=epoch_col,
                 batch_size=batch_col,
                 oracle_calls=state.tally.solver_calls,
-                objective=objective(p, state.x),
+                objective=obj,
                 stationarity=stat_total,
                 time_ms=(time.perf_counter() - self.t0) * 1e3,
                 test_objective=test_val,
             )
         )
-        if cfg.oracle_budget is not None and state.tally.solver_calls >= cfg.oracle_budget:
-            self.stop = True
-        if (
+        self.stop = over_budget or (
             cfg.target_epsilon is not None
             and stat_total is not None
             and stat_total <= cfg.target_epsilon
-        ):
-            self.stop = True
+        )
         return float(dx @ dx)
 
     def result(self) -> RunResult:

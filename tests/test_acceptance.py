@@ -263,6 +263,7 @@ def test_adaptive_variants_reach_levels_cheaper():
                     sched=sched,
                     max_iters=fam_cfg["K"],
                     seed=seed,
+                    eval_stride=1,  # an objective on every row
                     **fam_cfg["extra"],
                 )
                 pair.append(run(p, cfg).trace)

@@ -224,48 +224,48 @@ def test_time_column_monotone(fused):
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
-# Trace columns of all six methods on one small seeded problem, pinned from a
-# run of the per-method drivers that the single solver loop replaced.  The
-# adaptive schedules stay below the static cap of 50, tau_init seeds only the
+# Trace columns of all six methods on one small seeded problem.  The adaptive
+# schedules stay below the static cap of 50, tau_init seeds only the
 # variance-reduced methods' first anchor, and sadmm's first adaptive batch is
 # the cap.  A change of the sampling streams must re-pin these values.
-# Per method: epoch, batch_size, oracle_calls per row, objective at rows 1, 6, 12.
+# Per method: epoch, batch_size, oracle_calls per row, objective at the
+# evaluation rows 5, 10, 12 (the only rows that carry one).
 PINNED = {
     "sadmm": (
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         (50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
         (50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 550, 600),
-        (0.6801488572628245, 0.6271985954810864, 0.5841174865861063),
+        (0.635289532704163, 0.5958088747011807, 0.5841174865861063),
     ),
     "sadmm_adaptive": (
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         (50, 10, 5, 5, 3, 2, 1, 1, 1, 2, 2, 5),
         (50, 60, 65, 70, 73, 75, 76, 77, 78, 80, 82, 87),
-        (0.6801488572628245, 0.6402161747131466, 0.5812390906716934),
+        (0.6485768469846325, 0.588985851960036, 0.5812390906716934),
     ),
     "svrg_admm": (
         (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3),
         (50, 3, 3, 3, 3, 50, 3, 3, 3, 3, 50, 3),
         (56, 62, 68, 74, 80, 136, 142, 148, 154, 160, 216, 222),
-        (0.6801488572628245, 0.6312062195810481, 0.5837012137795713),
+        (0.6413871861401684, 0.5960397917517609, 0.5837012137795713),
     ),
     "svrg_admm_adaptive": (
         (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3),
         (13, 3, 3, 3, 3, 7, 3, 3, 3, 3, 6, 3),
         (19, 25, 31, 37, 43, 56, 62, 68, 74, 80, 92, 98),
-        (0.6812683663030215, 0.6302572922795288, 0.5810602818035083),
+        (0.6438102795415346, 0.5869794427452858, 0.5810602818035083),
     ),
     "spider_admm": (
         (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
         (50, 3, 3, 3, 50, 3, 3, 3, 50, 3, 3, 3),
         (50, 56, 62, 68, 118, 124, 130, 136, 186, 192, 198, 204),
-        (0.6801488572628245, 0.6300973637551254, 0.5857660095670504),
+        (0.6398239112011377, 0.5981101920424368, 0.5857660095670504),
     ),
     "spider_admm_adaptive": (
         (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
         (13, 3, 3, 3, 7, 3, 3, 3, 6, 3, 3, 3),
         (13, 19, 25, 31, 38, 44, 50, 56, 62, 68, 74, 80),
-        (0.6812683663030215, 0.6275413493942089, 0.5941235431957287),
+        (0.6395825328377528, 0.5993507331660959, 0.5941235431957287),
     ),
 }
 
@@ -285,7 +285,8 @@ def test_pinned_trace(make_dataset, method):
     assert tuple(r.batch_size for r in trace) == batch
     assert tuple(r.oracle_calls for r in trace) == calls
     assert [r.iter for r in trace if r.stationarity is not None] == [5, 10, 12]
-    got = tuple(r.objective for r in trace if r.iter in (1, 6, 12))
+    assert [r.iter for r in trace if r.objective is not None] == [5, 10, 12]
+    got = tuple(r.objective for r in trace if r.iter in (5, 10, 12))
     assert got == pytest.approx(objectives, rel=1e-12, abs=0.0)
 
 
