@@ -18,12 +18,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Dense feature matrix with binary labels in {-1, +1}.
 
     features : (n, d) float64 array
     labels   : (n,) float64 array, entries exactly -1.0 or +1.0
+
+    Equality and hashing are by identity, as for the other array holders.
     """
 
     features: np.ndarray

@@ -36,13 +36,14 @@ __all__ = [
 Z_CLIP = 35.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
     """The split Ax - y = 0, with A (m x d1, full column rank) as COO triplets.
 
     B = -I and c = 0 are implied, so the penalty acts on y = Ax.  Entries that
     repeat a (row, col) pair add up.  The extreme eigenvalues of A^T A are
     computed once, here, and cached as ``spectrum`` = (smallest, largest).
+    Equality and hashing are by identity.
     """
 
     rows: np.ndarray
@@ -112,9 +113,12 @@ class NonsmoothSpec:
             raise ValueError("penalty weight must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A finite-sum composite problem min f(x) + g(y) s.t. Ax - y = 0."""
+    """A finite-sum composite problem min f(x) + g(y) s.t. Ax - y = 0.
+
+    Equality and hashing are by identity.
+    """
 
     dataset: Dataset
     loss: str

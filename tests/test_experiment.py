@@ -202,6 +202,45 @@ def test_trace_roundtrip_bytes(tmp_path, config_file):
     assert dst.read_bytes() == src.read_bytes()
 
 
+def test_trace_roundtrip_empty_cells(tmp_path):
+    trace = [
+        TraceRecord(
+            iter=1, epoch=1, batch_size=5, oracle_calls=5,
+            objective=None, stationarity=None, time_ms=0.25,
+        ),
+        TraceRecord(
+            iter=2, epoch=1, batch_size=3, oracle_calls=11,
+            objective=0.6931471805599453, stationarity=1e-3, time_ms=0.5, test_objective=0.7,
+        ),
+    ]
+    path = tmp_path / "t.csv"
+    emit_trace_csv(trace, str(path))
+    assert path.read_text().splitlines()[1] == "1,1,5,5,,,0.25,"
+    assert parse_trace_csv(str(path)) == trace
+
+
+def test_summary_reads_the_stopping_row(tmp_path, config_file):
+    # no stride row falls inside the run, so only the budget stop evaluates
+    cfg = load_config(config_file(budget={"max_iters": 50, "oracle_budget": 40}, eval_stride=100))
+    summary = run_experiment(cfg, str(tmp_path / "out"))
+    for row in summary.rows:
+        trace = parse_trace_csv(row.trace_path)
+        last = trace[-1]
+        assert row.iterations == last.iter < 50
+        assert last.oracle_calls >= 40 and last.stationarity is not None
+        assert (row.final_objective, row.final_stationarity) == (last.objective, last.stationarity)
+        assert row.eval_calls == summary.n_train
+
+
+def test_zero_iterations_still_report_final_values(tmp_path, config_file):
+    summary = run_experiment(load_config(config_file(budget={"max_iters": 0})), str(tmp_path / "o"))
+    for row in summary.rows:
+        assert row.iterations == 0 and row.solver_calls == 0
+        assert row.eval_calls == summary.n_train
+        assert np.isfinite(row.final_objective) and np.isfinite(row.final_stationarity)
+        assert parse_trace_csv(row.trace_path) == []
+
+
 def test_parse_trace_rejects_foreign_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -223,3 +223,42 @@ def test_problem_validation(tiny_dataset):
 
 def test_penalty_value():
     assert penalty_value(NonsmoothSpec(0.5), np.array([1.0, -2.0, 0.0])) == 1.5
+
+
+def test_array_holders_compare_by_identity(make_dataset):
+    ds = make_dataset(10, 3, seed=1)
+    p = build_fused_logistic(ds, 0.1)
+    twins = (
+        (ds, Dataset(ds.features, ds.labels)),
+        (p.constraint, build_difference_matrix(3)),
+        (p, build_fused_logistic(ds, 0.1)),
+    )
+    for a, b in twins:
+        assert (a == a) is True and (a != a) is False
+        assert (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a)
+    assert len({ds, p.constraint, p}) == 3
+
+
+def test_full_set_passes_read_features_in_place(make_dataset):
+    import tracemalloc
+
+    from absadmm.kernel import SolverState, stationarity
+
+    p = build_fused_logistic(make_dataset(4000, 50, seed=2), 0.1)
+    x = np.full(50, 0.01)
+    w = SolverState(x=x, y=np.zeros(50), lam=np.zeros(50))
+    passes = {
+        "full_gradient": lambda: full_gradient(p, x),
+        "batch_mean_grad over 0..n-1": lambda: batch_mean_grad(p, x, np.arange(p.n)),
+        "stationarity": lambda: stationarity(p, w),
+    }
+    for name, fn in passes.items():
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the rows would take features.nbytes (1.6 MB); n-vectors take 32 kB
+        assert peak < p.dataset.features.nbytes / 4, f"{name} peaked at {peak} bytes"

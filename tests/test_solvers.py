@@ -177,6 +177,16 @@ def test_oracle_budget_stop(fused):
     assert res.trace[-2].oracle_calls < 100
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_oracle_budget_stop_row_is_evaluated(fused, method):
+    # the stride never falls inside the run, so only the stop evaluates
+    res = run(fused, _config(fused, method, oracle_budget=100, max_iters=1000, eval_stride=1000))
+    last = res.trace[-1]
+    assert last.oracle_calls >= 100 and last.iter < 1000
+    assert last.objective is not None and last.stationarity is not None
+    assert all(r.objective is None and r.stationarity is None for r in res.trace[:-1])
+
+
 def test_target_epsilon_stop(fused):
     res = run(fused, _config(fused, "sadmm", target_epsilon=1e9, eval_stride=1, max_iters=50))
     assert len(res.trace) == 1
@@ -308,3 +318,66 @@ def test_wide_graph_never_allocates_m_by_m(make_dataset):
     assert p.constraint.m > 40_000
     assert len(trace) == 20 and trace[-1].stationarity is not None
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, method):
+    import absadmm.problems as problems
+    from absadmm.kernel import SolverState, stationarity
+    from absadmm.problems import objective
+
+    p = build_fused_logistic(make_dataset(2000, 5, seed=3), 0.02)
+    sched = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002)
+    log = []  # loss calls with the size of their margin array, and markers
+
+    def spy(name):
+        real = getattr(problems, name)
+        monkeypatch.setattr(problems, name, lambda loss, z: log.append((name, z.size)) or real(loss, z))
+
+    spy("_loss_slopes")
+    spy("_loss_values")
+
+    def spy_stationarity(p_, w):
+        log.append(("eval", w.k))
+        report = stationarity(p_, w)
+        log.append(("eval_end", w.k))
+        return report
+
+    monkeypatch.setattr(solvers, "stationarity", spy_stationarity)
+    states = {}
+
+    def monitor(info):  # marks the end of row info.k + 1, before its evaluation
+        log.append(("row", info.k + 1))
+        states[info.k + 1] = (info.x_new, info.y_new, info.lam_new)
+
+    cfg = _config(p, method, sched=sched, max_iters=30, b=3, T=5, q=4, eval_stride=7)
+    trace = run(p, cfg, step_monitor=monitor).trace
+    monkeypatch.undo()
+
+    work, evals, pending, inside = {}, {}, [], None
+    for kind, value in log:
+        if kind == "row":
+            work[value], pending = pending, []
+        elif kind == "eval":
+            inside = evals.setdefault(value, [])
+        elif kind == "eval_end":
+            inside = None
+        else:
+            (pending if inside is None else inside).append((kind, value))
+
+    eval_rows = [r.iter for r in trace if r.stationarity is not None]
+    assert eval_rows == [7, 14, 21, 28, 30] == sorted(evals)
+    for rec in trace:
+        row_work = work[rec.iter]
+        assert row_work, "every row computes a gradient"
+        # gradients of the row's own draws only; an anchor row may add an inner step
+        assert max(size for _, size in row_work) <= max(rec.batch_size, cfg.b) < p.n
+        assert all(kind == "_loss_slopes" for kind, _ in row_work)
+    for row, calls in evals.items():
+        # one pass: one loss value and one slope per training row
+        assert sorted(calls) == [("_loss_slopes", p.n), ("_loss_values", p.n)]
+        rec = trace[row - 1]
+        x, y, lam = states[row]
+        assert rec.objective == objective(p, x)
+        assert rec.stationarity == stationarity(p, SolverState(x=x, y=y, lam=lam)).total
+    assert all(r.objective is None for r in trace if r.iter not in evals)
