@@ -48,7 +48,11 @@ class OracleTally:
 
 
 def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` indices from range(n), with or without replacement."""
+    """Draw ``size`` indices from range(n), with or without replacement.
+
+    Without replacement costs O(size) for a small draw (Floyd's algorithm in
+    ``Generator.choice``), not the O(n) of a full permutation.
+    """
     if size < 1:
         raise ValueError("batch size must be at least 1")
     if mode == "with_replacement":
@@ -56,7 +60,7 @@ def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np
     if mode == "without_replacement":
         if size > n:
             raise ValueError(f"cannot draw {size} of {n} without replacement")
-        return rng.permutation(n)[:size]
+        return rng.choice(n, size, replace=False)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 

@@ -245,37 +245,37 @@ PINNED = {
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         (50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
         (50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 550, 600),
-        (0.635289532704163, 0.5958088747011807, 0.5841174865861063),
+        (0.6381484369520583, 0.5995266376481909, 0.5860354355036532),
     ),
     "sadmm_adaptive": (
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-        (50, 10, 5, 5, 3, 2, 1, 1, 1, 2, 2, 5),
-        (50, 60, 65, 70, 73, 75, 76, 77, 78, 80, 82, 87),
-        (0.6485768469846325, 0.588985851960036, 0.5812390906716934),
+        (50, 8, 28, 12, 6, 6, 5, 4, 4, 3, 4, 12),
+        (50, 58, 86, 98, 104, 110, 115, 119, 123, 126, 130, 142),
+        (0.6446562667609845, 0.6018713502876332, 0.5899431125931633),
     ),
     "svrg_admm": (
         (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3),
         (50, 3, 3, 3, 3, 50, 3, 3, 3, 3, 50, 3),
         (56, 62, 68, 74, 80, 136, 142, 148, 154, 160, 216, 222),
-        (0.6413871861401684, 0.5960397917517609, 0.5837012137795713),
+        (0.6349287874687755, 0.5945103975636155, 0.5816434772299993),
     ),
     "svrg_admm_adaptive": (
         (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3),
-        (13, 3, 3, 3, 3, 7, 3, 3, 3, 3, 6, 3),
-        (19, 25, 31, 37, 43, 56, 62, 68, 74, 80, 92, 98),
-        (0.6438102795415346, 0.5869794427452858, 0.5810602818035083),
+        (13, 3, 3, 3, 3, 10, 3, 3, 3, 3, 8, 3),
+        (19, 25, 31, 37, 43, 59, 65, 71, 77, 83, 97, 103),
+        (0.6362034776981516, 0.5865102348139247, 0.5701591502229576),
     ),
     "spider_admm": (
         (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
         (50, 3, 3, 3, 50, 3, 3, 3, 50, 3, 3, 3),
         (50, 56, 62, 68, 118, 124, 130, 136, 186, 192, 198, 204),
-        (0.6398239112011377, 0.5981101920424368, 0.5857660095670504),
+        (0.635810134478548, 0.5971190076060773, 0.5844510457889984),
     ),
     "spider_admm_adaptive": (
         (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
-        (13, 3, 3, 3, 7, 3, 3, 3, 6, 3, 3, 3),
-        (13, 19, 25, 31, 38, 44, 50, 56, 62, 68, 74, 80),
-        (0.6395825328377528, 0.5993507331660959, 0.5941235431957287),
+        (13, 3, 3, 3, 10, 3, 3, 3, 7, 3, 3, 3),
+        (13, 19, 25, 31, 41, 47, 53, 59, 66, 72, 78, 84),
+        (0.633804158393636, 0.5851167059421244, 0.570917581848751),
     ),
 }
 
