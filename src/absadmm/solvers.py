@@ -68,8 +68,8 @@ class SolverConfig:
 
     max_iters bounds the iteration count; oracle_budget (solver component
     gradients) and target_epsilon (stationarity total) stop a run early when
-    set.  eval_stride controls how often stationarity is measured: every that
-    many iterations, or once per data pass when None.
+    set.  eval_stride controls how often the objective and stationarity are
+    measured: every that many iterations, or once per data pass when None.
     """
 
     method: str

@@ -332,7 +332,12 @@ def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, met
 
     def spy(name):
         real = getattr(problems, name)
-        monkeypatch.setattr(problems, name, lambda loss, z: log.append((name, z.size)) or real(loss, z))
+
+        def record(loss, z):
+            log.append((name, z.size))
+            return real(loss, z)
+
+        monkeypatch.setattr(problems, name, record)
 
     spy("_loss_slopes")
     spy("_loss_values")
