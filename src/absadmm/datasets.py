@@ -1,6 +1,7 @@
 """Dense LIBSVM-format data loading, label canonicalization, and train/test splitting."""
 
 import gzip
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,73 +67,289 @@ class SplitPair:
     test: Dataset
 
 
-def parse_libsvm(text, d_hint=None) -> Dataset:
-    """Parse LIBSVM-format text into a dense ``Dataset``.
+# Text is parsed in blocks of whole lines of about this many bytes, so that
+# the temporaries of a parse, some 10 to 30 bytes per byte of text, are bounded
+# by the block and not by the file.  Blocks from 128 KiB to 1 MiB parse the
+# bench files at about the same speed; smaller ones need less memory.
+_BLOCK_BYTES = 1 << 18
 
-    Each line is ``label idx:value ...`` with 1-based, strictly increasing
-    indices.  Labels are canonicalized: nonpositive maps to -1, positive to +1.
-    The feature count is the largest index observed, or ``d_hint`` when given
-    (an index beyond ``d_hint`` is a parse error).
+# Columns are stored as int32 until the dense matrix is filled.
+_MAX_INDEX = 2**31 - 1
+
+# Byte classes; every class up to _CR separates tokens.
+_SPACE, _LF, _CR, _DIGIT, _SIGN, _DOT, _EXP, _COLON, _OTHER = range(9)
+
+
+def _byte_table(classes, default):
+    table = bytearray([default]) * 256
+    for chars, cls in classes:
+        for ch in chars:
+            table[ch] = cls
+    return bytes(table)
+
+
+_CLASS_OF = _byte_table(
+    [
+        (b" \t\x0b\x0c", _SPACE),
+        (b"\n", _LF),
+        (b"\r", _CR),
+        (b"0123456789", _DIGIT),
+        (b"+-", _SIGN),
+        (b".", _DOT),
+        (b"eE", _EXP),
+        (b":", _COLON),
+    ],
+    _OTHER,
+)
+# Turns each pair's colon into a separator.
+_COLON_TO_SPACE = bytes(range(256)).replace(b":", b" ")
+
+# Per-token error codes, in the order the checks of one token run.
+(
+    _OK,
+    _BAD_LABEL,
+    _MALFORMED,
+    _NOT_ONE_BASED,
+    _DUPLICATE,
+    _DECREASING,
+    _EXCEEDS_HINT,
+    _TOO_LARGE,
+    _NON_FINITE,
+) = range(9)
+
+
+def _faults(seq, before, after):
+    """Flag the non-digit bytes that break the number grammar.
+
+    ``seq`` holds the classes of the block's non-digit bytes in order, and
+    ``before``/``after`` the class of the byte just before/after each one
+    (``_DIGIT`` when that byte is a digit).  Labels are ``FLOAT`` and pairs
+    ``DIGITS:FLOAT``, with
+    ``FLOAT = [+-]? (DIGITS [.] DIGITS? | . DIGITS | DIGITS) ([eE] [+-]? DIGITS)?``.
+    A flagged byte is one that no valid token holds where it stands: a byte
+    outside the alphabet, a colon not followed by a number, a sign that opens
+    neither a number nor an exponent, a dot with no digit beside it, an
+    exponent without a mantissa or digits, or a second dot or exponent in one
+    number.  How many colons a token holds and whether an index is all digits
+    are checked per token by the caller.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    labels = []
-    rows = []  # per line: (indices array, values array), 0-based
-    max_idx = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    opener = (before <= _CR) | (before == _COLON)
+    bad = seq == _OTHER
+    bad |= (seq == _COLON) & (after != _DIGIT) & (after != _SIGN) & (after != _DOT)
+    sign = ((before == _EXP) & (after == _DIGIT)) | (opener & ((after == _DIGIT) | (after == _DOT)))
+    bad |= (seq == _SIGN) & ~sign
+    bad |= (seq == _DOT) & (before != _DIGIT) & (after != _DIGIT)
+    exp = ((before == _DIGIT) | (before == _DOT)) & ((after == _DIGIT) | (after == _SIGN))
+    bad |= (seq == _EXP) & ~exp
+    # Neighbours in ``seq`` with no separator between them are in one number,
+    # which reads [sign] [dot] [exponent [sign]] without its digits: a dot or
+    # exponent may follow neither a dot nor an exponent, with or without a sign.
+    late = (seq == _DOT) | (seq == _EXP)
+    after_exp = seq[:-1] == _EXP
+    bad[1:] |= late[1:] & (after_exp | (seq[:-1] == _DOT) & (seq[1:] == _DOT))
+    bad[2:] |= late[2:] & after_exp[:-1] & (seq[1:-1] == _SIGN)
+    return bad
+
+
+def _parse_block(buf, line0, d_hint):
+    """Parse one block of whole lines that follows ``line0`` lines.
+
+    Returns ``(labels, pairs per row, 0-based columns, values, line breaks)``.
+    Raises ``ParseError`` naming the first offending line of the block.
+    """
+    # Byte classes, padded with two separators on each side; byte p of the
+    # block is cls[p + 2].
+    pad = bytes([_SPACE, _SPACE])
+    cls = np.frombuffer(pad + buf.translate(_CLASS_OF) + pad, dtype=np.uint8)
+    # Every non-digit byte in order, with the classes of its two neighbours.
+    where = np.flatnonzero(cls != _DIGIT)
+    seq = cls[where]
+    gap = np.diff(where) > 1
+    digit = np.uint8(_DIGIT)
+    before = np.full(seq.size, _SPACE, dtype=np.uint8)
+    before[1:] = np.where(gap, digit, seq[:-1])
+    after = np.full(seq.size, _SPACE, dtype=np.uint8)
+    after[:-1] = np.where(gap, digit, seq[1:])
+
+    sep = seq <= _CR
+    starts = where[sep & (after > _CR)] + 1
+    ends = where[sep & (before > _CR)]
+    # a CR ends a line unless an LF follows it
+    breaks = where[(seq == _LF) | ((seq == _CR) & (after != _LF))]
+    if starts.size == 0:
+        empty = np.empty(0)
+        return empty, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32), empty, breaks.size
+
+    line = np.searchsorted(breaks, starts)
+    is_label = np.empty(starts.size, dtype=bool)
+    is_label[0] = True
+    is_label[1:] = line[1:] != line[:-1]
+    labels_at = np.flatnonzero(is_label)
+    pairs_at = np.flatnonzero(~is_label)
+
+    bad = np.zeros(starts.size, dtype=bool)
+    faults = _faults(seq, before, after)
+    if faults.any():
+        bad[np.searchsorted(starts, where[faults], side="right") - 1] = True
+    # Each pair holds one colon and each label none exactly when there are as
+    # many colons as pairs and the k-th colon lies inside the k-th pair.
+    colons = where[seq == _COLON]
+    first = starts[pairs_at]
+    if not (
+        colons.size == pairs_at.size
+        and np.all(colons >= first)
+        and np.all(colons < ends[pairs_at])
+    ):
+        held = np.searchsorted(colons, starts)
+        count = np.searchsorted(colons, ends) - held
+        bad |= count != ~is_label
+        # a pair without exactly one colon is read as an empty index
+        colons = np.where(count[pairs_at] == 1, np.append(colons, 0)[held[pairs_at]], first)
+
+    # Read each index left to right and blank its digits, so that the number
+    # scan below sees one number per token.  Past its end an index re-reads
+    # its last digit (an empty one, the separator before it).  Indices
+    # saturate above _MAX_INDEX; messages re-read the exact value.
+    text = np.frombuffer(b"  " + buf.translate(_COLON_TO_SPACE) + b"  ", dtype=np.uint8).copy()
+    last = colons - 1
+    bad_pair = colons == first
+    idx = np.zeros(pairs_at.size, dtype=np.int64)
+    for j in range(int((colons - first).max(initial=0))):
+        at = np.minimum(first + j, last)
+        bad_pair |= cls[at] != _DIGIT
+        more = np.minimum(idx * 10 + text[at] - ord("0"), _MAX_INDEX + 1)
+        idx = np.where(first + j <= last, more, idx)
+        text[at] = ord(" ")
+    bad[pairs_at[bad_pair]] = True
+
+    good = ~bad
+    for s, e in zip(starts[bad], ends[bad]):
+        text[s:e] = ord(" ")
+    n_good = int(good.sum())
+    nums = np.fromstring(text.tobytes(), sep=" ") if n_good else np.empty(0)
+    if nums.size != n_good:
+        raise RuntimeError("LIBSVM block: number count disagrees with the token scan")
+    if n_good < starts.size:
+        number = np.zeros(starts.size)
+        number[good] = nums
+        nums = number
+    y = nums[labels_at]
+    val = nums[pairs_at]
+
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    prev[is_label[pairs_at - 1]] = 0
+    checks = [idx < 1, idx == prev, idx < prev]
+    codes = [_NOT_ONE_BASED, _DUPLICATE, _DECREASING]
+    if d_hint is not None:
+        checks.append(idx > d_hint)
+        codes.append(_EXCEEDS_HINT)
+    checks += [idx > _MAX_INDEX, ~np.isfinite(val)]
+    codes += [_TOO_LARGE, _NON_FINITE]
+    code = np.zeros(starts.size, dtype=np.int8)
+    code[pairs_at] = np.select(checks, codes, _OK)
+    code[labels_at[~np.isfinite(y)]] = _BAD_LABEL
+    code[bad] = np.where(is_label[bad], _BAD_LABEL, _MALFORMED)
+    failed = np.flatnonzero(code)
+    if failed.size:
+        k = failed[0]
+        token = buf[starts[k] - 2 : ends[k] - 2]
+        raise ParseError(_message(code[k], line0 + line[k] + 1, token, d_hint))
+
+    row_pairs = np.diff(np.append(labels_at, starts.size)) - 1
+    labels = np.where(y > 0, 1.0, -1.0)
+    return labels, row_pairs, (idx - 1).astype(np.int32), val, breaks.size
+
+
+def _message(code, lineno, token, d_hint):
+    shown = token.decode("utf-8", "replace")
+    if code == _BAD_LABEL:
+        return f"line {lineno}: bad label token {shown!r}"
+    if code == _MALFORMED:
+        return f"line {lineno}: malformed pair {shown!r}"
+    if code == _NON_FINITE:
+        return f"line {lineno}: non-finite value in pair {shown!r}"
+    idx = int(token.partition(b":")[0])
+    return f"line {lineno}: " + {
+        _NOT_ONE_BASED: f"feature index {idx} is not 1-based",
+        _DUPLICATE: f"duplicate feature index {idx}",
+        _DECREASING: f"feature indices not increasing at {idx}",
+        _EXCEEDS_HINT: f"feature index {idx} exceeds d_hint={d_hint}",
+        _TOO_LARGE: f"feature index {idx} exceeds the largest supported index {_MAX_INDEX}",
+    }[code]
+
+
+def _line_blocks(stream):
+    """Yield a binary stream in blocks of whole lines, about ``_BLOCK_BYTES`` each.
+
+    A block ends just after a line break.  A CR that ends a read is held back,
+    since an LF may follow it in the next read.
+    """
+    pending = []  # pieces of the block being built, the last one unfinished
+    while True:
+        chunk = stream.read(_BLOCK_BYTES)
+        if not chunk:
+            break
+        view = memoryview(chunk)
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut == 0:
+            pending.append(view)
             continue
-        tokens = line.split()
-        try:
-            y = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad label token {tokens[0]!r}") from None
-        idxs = []
-        vals = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: malformed pair {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed pair {tok!r}") from None
-            if idx < 1:
-                raise ParseError(f"line {lineno}: feature index {idx} is not 1-based")
-            if idx == prev:
-                raise ParseError(f"line {lineno}: duplicate feature index {idx}")
-            if idx < prev:
-                raise ParseError(f"line {lineno}: feature indices not increasing at {idx}")
-            if d_hint is not None and idx > d_hint:
-                raise ParseError(
-                    f"line {lineno}: feature index {idx} exceeds d_hint={d_hint}"
-                )
-            prev = idx
-            idxs.append(idx - 1)
-            vals.append(val)
-        labels.append(-1.0 if y <= 0 else 1.0)
-        rows.append((idxs, vals))
-        if idxs:
-            max_idx = max(max_idx, idxs[-1] + 1)
-    if not rows:
+        pending.append(view[:cut])
+        yield b"".join(pending)
+        pending = [view[cut:]]
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _parse_stream(stream, d_hint) -> Dataset:
+    blocks = []
+    lines = 0
+    for buf in _line_blocks(stream):
+        *parsed, breaks = _parse_block(buf, lines, d_hint)
+        blocks.append(parsed)
+        lines += breaks
+    n = sum(labels.size for labels, _, _, _ in blocks)
+    if n == 0:
         raise ParseError("no data lines found")
-    d = d_hint if d_hint is not None else max_idx
+    if d_hint is not None:
+        d = d_hint
+    else:
+        d = max((int(cols.max()) + 1 for _, _, cols, _ in blocks if cols.size), default=0)
     if d < 1:
         raise ParseError("no feature indices found and no d_hint given")
-    feats = np.zeros((len(rows), d))
-    for i, (idxs, vals) in enumerate(rows):
-        feats[i, idxs] = vals
-    return Dataset(feats, np.asarray(labels))
+    labels = np.concatenate([block[0] for block in blocks])
+    feats = np.zeros((n, d))
+    row0 = 0
+    for k, (block_labels, row_pairs, cols, vals) in enumerate(blocks):
+        blocks[k] = None  # each block's triplets go as soon as they are written
+        rows = np.repeat(np.arange(row0, row0 + block_labels.size), row_pairs)
+        feats[rows, cols] = vals
+        row0 += block_labels.size
+    return Dataset(feats, labels)
+
+
+def parse_libsvm(text, d_hint=None) -> Dataset:
+    """Parse LIBSVM-format text (``str`` or bytes) into a dense ``Dataset``.
+
+    Each line is ``label idx:value ...`` with 1-based, strictly increasing
+    ASCII decimal indices and finite values (see the README's "Data format").
+    Labels are canonicalized: nonpositive maps to -1, positive to +1.
+    The feature count is the largest index observed, or ``d_hint`` when given
+    (an index beyond ``d_hint`` is a parse error).  Every violation raises
+    ``ParseError`` naming the first offending line.
+    """
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    return _parse_stream(io.BytesIO(text), d_hint)
 
 
 def load_libsvm(path, d_hint=None) -> Dataset:
-    """Load a LIBSVM file; ``.gz`` paths are transparently decompressed."""
+    """Load a LIBSVM file as bytes; ``.gz`` paths are transparently decompressed."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        return parse_libsvm(fh.read(), d_hint=d_hint)
+    with opener(path, "rb") as fh:
+        return _parse_stream(fh, d_hint)
 
 
 def dump_libsvm(ds: Dataset) -> str:

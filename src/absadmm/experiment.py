@@ -358,6 +358,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     if cfg.normalize:
         ds = scale_max_abs(ds)
     if cfg.split:
+        if ds.n < 2:
+            raise ConfigError(
+                f"split.enabled needs at least 2 data rows, but {cfg.dataset_path} has {ds.n}"
+            )
         pair = split_half(ds, _derive_seed(cfg.seed, 0))
         train, test = pair.train, pair.test
     else:

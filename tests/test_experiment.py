@@ -379,6 +379,38 @@ def test_cli_run_missing_dataset(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"1 1:0.5\n-1 1:nan\n", 2),
+        (b"1 1:inf\n-1 2:1\n", 1),
+        (b"1 1:1\n\n-1 2:1e400\n", 3),
+        (b"1 1:1\n-1 1:\xff\n", 2),
+    ],
+    ids=["nan", "inf", "overflow", "non_utf8_byte"],
+)
+def test_cli_run_bad_values_are_data_errors(tmp_path, capsys, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_config_doc(str(path))))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert f"data error: line {line}: " in capsys.readouterr().err
+
+
+def test_cli_run_split_of_one_row_is_config_error(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1 1:0.5 2:-1\n")
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_config_doc(str(path))))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: split.enabled needs at least 2 data rows" in err
+    assert err.rstrip().endswith("has 1")
+    assert list(out.iterdir()) == []  # no cell ran
+
+
 def test_cli_run_bad_params_is_config_error(tmp_path, config_file, capsys):
     path = config_file(methods=[{"name": "sadmm", "beta": 1.0, "eta": -0.5}])
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2

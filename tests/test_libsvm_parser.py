@@ -1,0 +1,250 @@
+"""The block parser against the token-at-a-time reference, its grammar and its memory."""
+
+import gzip
+import itertools
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from libsvm_reference import parse_libsvm as reference_parse
+
+import absadmm.datasets as datasets
+from absadmm.datasets import Dataset, dump_libsvm, load_libsvm, parse_libsvm
+from absadmm.errors import ParseError
+
+
+def _outcome(parse, data, d_hint=None):
+    """The parsed arrays as bytes, or the ParseError message."""
+    try:
+        ds = parse(data, d_hint=d_hint)
+    except ParseError as exc:
+        return str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def _parse_in_blocks(data, block_bytes, d_hint=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_BLOCK_BYTES", block_bytes)
+        return _outcome(parse_libsvm, data, d_hint)
+
+
+# -- differential tests against the reference parser ---------------------------------
+
+_VALUES = st.one_of(
+    st.just(0.0),
+    st.just(0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, -2.0, 0.5, 3.25, 1e-05, -7e22, 5e-324, 1.5e300]),
+    st.integers(-1000, 1000).map(float),
+)
+_LABELS = {1.0: ["+1", "1", "2.5", "1e0", ".5"], -1.0: ["-1", "0", "-3", "-0.5E1", "-.0"]}
+_GAPS = [" ", "\t", "  ", " \t ", "\t\t"]
+_BREAKS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _layouts(draw):
+    """A dataset and its LIBSVM lines as token lists, from ``dump_libsvm``."""
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    ds = Dataset(np.array(rows), np.array(labels))
+    lines = []
+    for line, label in zip(dump_libsvm(ds).splitlines(), labels):
+        tokens = line.split(" ")
+        tokens[0] = draw(st.sampled_from(_LABELS[label]))
+        lines.append(tokens)
+    return ds, lines
+
+
+def _render(draw, lines):
+    """Join token lists with varied whitespace, blank lines and line breaks."""
+    out = []
+    for tokens in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(_BREAKS)))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        body = tokens[0] + "".join(draw(st.sampled_from(_GAPS)) + tok for tok in tokens[1:])
+        trail = draw(st.sampled_from(["", "", " ", "\t "]))
+        out.append(lead + body + trail + draw(st.sampled_from(_BREAKS)))
+    if draw(st.booleans()):
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode()
+
+
+@given(data=st.data(), block_bytes=st.integers(16, 256))
+@settings(max_examples=80, deadline=None)
+def test_valid_text_matches_reference_bitwise(data, block_bytes):
+    ds, lines = data.draw(_layouts())
+    text = _render(data.draw, lines)
+    d_hint = data.draw(st.sampled_from([None, ds.d, ds.d + 2]))
+    want = _outcome(reference_parse, text, d_hint)
+    assert _parse_in_blocks(text, block_bytes, d_hint) == want
+    if d_hint == ds.d:
+        # dump_libsvm drops zeros, so -0.0 reads back as 0.0
+        assert want[1:] == ((ds.features + 0.0).tobytes(), ds.labels.tobytes())
+    elif isinstance(want, str):
+        assert want == "no feature indices found and no d_hint given"
+
+
+def _corrupt(draw, lines, d):
+    """Corrupt one token of one line; the reference must then reject the text."""
+    lines = [list(tokens) for tokens in lines]
+    tokens = draw(st.sampled_from(lines))
+    pairs = tokens[1:]
+    at = draw(st.integers(1, len(tokens)))
+    kind = draw(
+        st.sampled_from(
+            ["label", "no_colon", "two_colons", "empty_value", "duplicate", "decreasing", "above"]
+        )
+    )
+    if kind == "label":
+        tokens[0] = draw(st.sampled_from(["abc", "1x", "--1", "1:1", ".", "1e", "+"]))
+    elif kind == "no_colon":
+        tokens.insert(at, draw(st.sampled_from(["7", "2.5", "x"])))
+    elif kind == "two_colons":
+        tokens.insert(at, "1:2:3")
+    elif kind == "empty_value":
+        tokens.insert(at, "0:")
+    elif kind == "duplicate" and pairs:
+        k = draw(st.integers(1, len(pairs)))
+        tokens.insert(k + 1, tokens[k].split(":")[0] + ":1")
+    elif kind == "decreasing" and any(int(p.split(":")[0]) > 1 for p in pairs):
+        k = draw(st.sampled_from([k for k in range(1, len(tokens)) if int(tokens[k].split(":")[0]) > 1]))
+        tokens.insert(k + 1, f"{int(tokens[k].split(':')[0]) - 1}:1")
+    elif kind in ("duplicate", "decreasing"):
+        tokens += ["2:1", "2:1"] if kind == "duplicate" else ["2:1", "1:1"]
+    else:
+        tokens.append(f"{d + 1}:1")
+    return lines, kind
+
+
+@given(data=st.data(), block_bytes=st.integers(16, 256))
+@settings(max_examples=120, deadline=None)
+def test_corrupt_token_gives_the_reference_error(data, block_bytes):
+    ds, lines = data.draw(_layouts())
+    lines, kind = _corrupt(data.draw, lines, ds.d)
+    text = _render(data.draw, lines)
+    d_hint = ds.d if kind == "above" else data.draw(st.sampled_from([None, ds.d]))
+    want = _outcome(reference_parse, text, d_hint)
+    assert isinstance(want, str) and want.startswith("line ")
+    assert _parse_in_blocks(text, block_bytes, d_hint) == want
+
+
+_MIXED = b"1 1:0.5\r\n\r\n-1\t2:1.5e-3  3:-2\r0 1:4\n\n+1 3:7 \r\n \r-2 2:.5"
+
+
+@pytest.mark.parametrize("tail", [b"", b" 1:2", b" 4:1 4:2"], ids=["valid", "decreasing", "duplicate"])
+def test_every_block_cut_matches_reference(tail):
+    text = _MIXED + tail
+    want = _outcome(reference_parse, text)
+    for block_bytes in range(1, len(text) + 2):
+        assert _parse_in_blocks(text, block_bytes) == want, block_bytes
+
+
+# -- the grammar ---------------------------------------------------------------------
+
+_FLOAT = rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_LONGER = [b"1.e+5", b"1e+5e", b"1e+5.", b"-.5e-3", b"1e5.5", b"1.2.3", b"+1:2", b"12:1.5E+07"]
+
+
+def test_token_grammar_exhaustive():
+    """Every token of up to four bytes over a small alphabet, as label and as pair,
+    is accepted exactly when it matches the documented grammar, and accepted
+    numbers equal ``float`` bitwise."""
+    tokens = [b"".join(t) for n in range(1, 5) for t in itertools.product(
+        [b"1", b"-", b"+", b".", b"e", b":", b"x"], repeat=n)]
+    for tok in tokens + _LONGER:
+        if re.fullmatch(_FLOAT, tok):
+            ds = parse_libsvm(tok + b" 1:1")
+            assert ds.labels[0] == (1.0 if float(tok) > 0 else -1.0), tok
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"line 1: bad label token {tok.decode()!r}")):
+                parse_libsvm(tok + b" 1:1")
+        pair = re.fullmatch(rb"(\d+):(" + _FLOAT + rb")", tok)
+        if pair and 1 <= int(pair[1]) <= 20:
+            ds = parse_libsvm(b"1 " + tok, d_hint=20)
+            got = ds.features[0, int(pair[1]) - 1]
+            assert got.tobytes() == np.float64(float(pair[2])).tobytes(), tok
+        else:
+            with pytest.raises(ParseError, match="line 1: "):
+                parse_libsvm(b"1 " + tok, d_hint=20)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"1 1:1\n-1 2:nan\n", "line 2: malformed pair '2:nan'"),
+        (b"1 1:inf\n", "line 1: malformed pair '1:inf'"),
+        (b"1 1:1e400\n", "line 1: non-finite value in pair '1:1e400'"),
+        (b"1 2:1 1:-1e999\n", "line 1: feature indices not increasing at 1"),
+        (b"nan 1:1\n", "line 1: bad label token 'nan'"),
+        (b"-1e999 1:1\n", "line 1: bad label token '-1e999'"),
+        (b"1 1:1\n\n-1 1:\xff\n", "line 3: malformed pair '1:�'"),
+        (b"\xff 1:1\n", "line 1: bad label token '�'"),
+        ("1 １:1\n".encode(), "line 1: malformed pair '１:1'"),
+        (b"1 +2:1\n", "line 1: malformed pair '+2:1'"),
+        (b"1 1_0:1\n", "line 1: malformed pair '1_0:1'"),
+        (b"1 1:1_0\n", "line 1: malformed pair '1:1_0'"),
+        (b"1 2147483648:1\n", "line 1: feature index 2147483648 exceeds the largest supported index 2147483647"),
+        (b"1 99999999999999999999999:1\n", "line 1: feature index 99999999999999999999999 exceeds"),
+        (b"1 00:1\n", "line 1: feature index 0 is not 1-based"),
+    ],
+)
+def test_values_and_bytes_outside_the_grammar(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_libsvm(text)
+
+
+def test_leading_zeros_and_long_indices_read_exactly():
+    ds = parse_libsvm(b"1 0001:2 000000000000000000000000003:4\n")
+    assert ds.d == 3 and ds.features.tolist() == [[2.0, 0.0, 4.0]]
+
+
+def test_line_breaks_are_those_of_bytes_splitlines():
+    text = b"1 1:1\r-1 2:1\r\n\r\n1 1:2\n\x0b1\x0c1:3\t\n"
+    ds = parse_libsvm(text)
+    assert ds.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0]]
+    # blank lines count: the fifth line of this text is the bad one
+    with pytest.raises(ParseError, match="line 5: "):
+        parse_libsvm(text.replace(b"1:3", b"1:x"))
+
+
+def test_gzip_is_read_as_bytes(tmp_path):
+    path = tmp_path / "toy.txt.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(b"1 1:1 2:2\r\n-1 2:1\r\n")
+    assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, b"1 1:1 2:2\n-1 2:1\n")
+
+
+# -- memory ------------------------------------------------------------------------------
+
+
+def test_parse_peak_memory_is_bounded(tmp_path):
+    """A dense file of many blocks parses within its own size, three dense
+    matrices and the temporaries of one block (some 10 to 30 bytes per byte).
+    The token-at-a-time parser peaks at four times this file's size, above
+    the bound."""
+    block = 1 << 16
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((2000, 60))
+    path = tmp_path / "dense.libsvm"
+    with open(path, "w") as fh:
+        for row in feats:
+            fh.write("+1 " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())) + "\n")
+    file_bytes = path.stat().st_size
+    assert file_bytes > 20 * block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ds.features.tobytes() == feats.tobytes()
+    assert peak < file_bytes + 3 * ds.features.nbytes + 40 * block
