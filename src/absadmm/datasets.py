@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,7 +304,8 @@ def _line_blocks(stream):
         yield tail
 
 
-def _parse_stream(stream, d_hint) -> Dataset:
+def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
+    """Parse into one dense buffer; see ``load_libsvm`` for the keywords."""
     blocks = []
     lines = 0
     for buf in _line_blocks(stream):
@@ -320,13 +322,22 @@ def _parse_stream(stream, d_hint) -> Dataset:
     if d < 1:
         raise ParseError("no feature indices found and no d_hint given")
     labels = np.concatenate([block[0] for block in blocks])
+    row_of = np.arange(n)  # the buffer row of each file row
+    if split_seed is not None:
+        perm, n_train = _split_order(n, split_seed)
+        row_of[perm] = np.arange(n)
+        labels = labels[perm]
     feats = np.zeros((n, d))
     row0 = 0
     for k, (block_labels, row_pairs, cols, vals) in enumerate(blocks):
         blocks[k] = None  # each block's triplets go as soon as they are written
-        rows = np.repeat(np.arange(row0, row0 + block_labels.size), row_pairs)
+        rows = np.repeat(row_of[row0 : row0 + block_labels.size], row_pairs)
         feats[rows, cols] = vals
         row0 += block_labels.size
+    if normalize:
+        _scale_columns_in_place(feats)
+    if split_seed is not None:
+        return _halves(feats, labels, n_train)
     return Dataset(feats, labels)
 
 
@@ -345,11 +356,23 @@ def parse_libsvm(text, d_hint=None) -> Dataset:
     return _parse_stream(io.BytesIO(text), d_hint)
 
 
-def load_libsvm(path, d_hint=None) -> Dataset:
-    """Load a LIBSVM file as bytes; ``.gz`` paths are transparently decompressed."""
+def load_libsvm(path, d_hint=None, *, normalize=False, split_seed=None):
+    """Load a LIBSVM file as bytes; ``.gz`` paths are transparently decompressed.
+
+    Returns the ``Dataset`` that ``parse_libsvm`` gives for the file's text.
+    The keywords give the results of ``scale_max_abs`` and ``split_half``
+    bitwise, while holding one dense matrix: with ``normalize`` the columns
+    are scaled in place, and with a ``split_seed`` the rows are filled in split
+    order and a ``SplitPair`` of row views is returned.  A split of one row
+    raises ``ValueError`` as ``split_half`` does.  A truncated or corrupt
+    ``.gz`` file is a ``ParseError`` naming the file.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return _parse_stream(fh, d_hint)
+    try:
+        with opener(path, "rb") as fh:
+            return _parse_stream(fh, d_hint, normalize, split_seed)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
 def dump_libsvm(ds: Dataset) -> str:
@@ -364,21 +387,42 @@ def dump_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def split_half(ds: Dataset, seed) -> SplitPair:
-    """Split into disjoint halves by a seeded permutation; train gets ceil(n/2)."""
-    if ds.n < 2:
+def _split_order(n, seed):
+    """The split rule: a seeded permutation of n rows, of which train takes the first ceil(n/2)."""
+    if n < 2:
         raise ValueError("need at least 2 samples to split")
-    perm = np.random.default_rng(seed).permutation(ds.n)
-    n_train = (ds.n + 1) // 2
-    tr, te = perm[:n_train], perm[n_train:]
+    return np.random.default_rng(seed).permutation(n), (n + 1) // 2
+
+
+def _halves(feats, labels, n_train) -> SplitPair:
+    """Train and test as views of the rows before and from ``n_train``."""
     return SplitPair(
-        train=Dataset(ds.features[tr], ds.labels[tr]),
-        test=Dataset(ds.features[te], ds.labels[te]),
+        train=Dataset(feats[:n_train], labels[:n_train]),
+        test=Dataset(feats[n_train:], labels[n_train:]),
     )
+
+
+def split_half(ds: Dataset, seed) -> SplitPair:
+    """Split into disjoint halves by a seeded permutation; train gets ceil(n/2).
+
+    Both halves are views of one gathered copy of the permuted rows.
+    """
+    perm, n_train = _split_order(ds.n, seed)
+    return _halves(ds.features[perm], ds.labels[perm], n_train)
+
+
+def _scale_columns_in_place(feats):
+    """Divide each column by its max absolute value; zero columns stay zero.
+
+    The max of |x| is max(max x, -min x), so no n x d temporary is made.
+    """
+    scale = np.maximum(feats.max(axis=0), -feats.min(axis=0))
+    scale[scale == 0.0] = 1.0
+    feats /= scale
 
 
 def scale_max_abs(ds: Dataset) -> Dataset:
     """Scale each feature column by its max absolute value; zero columns stay zero."""
-    scale = np.abs(ds.features).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    return Dataset(ds.features / scale, ds.labels)
+    feats = ds.features.copy()
+    _scale_columns_in_place(feats)
+    return Dataset(feats, ds.labels)

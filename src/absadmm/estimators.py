@@ -139,12 +139,14 @@ def estimate_sigma2(p: ProblemInstance, x0, m: int, rng: np.random.Generator) ->
     n = p.n
     idx = np.arange(n) if m >= n else rng.integers(0, n, size=m)
     g_full = full_gradient(p, x0)
-    feats = p.dataset.features[idx]
+    # the gather is a copy, so the per-row gradients and their squared
+    # deviations are formed in its place
+    dev = p.dataset.features[idx]
     labs = p.dataset.labels[idx]
-    z = labs * (feats @ x0)
-    coef = _loss_slopes(p.loss, z) * labs
-    grads = feats * coef[:, None]
+    z = labs * (dev @ x0)
+    dev *= (_loss_slopes(p.loss, z) * labs)[:, None]
     if p.ridge:
-        grads = grads + p.ridge * x0
-    dev = grads - g_full
-    return float(np.mean(np.sum(dev * dev, axis=1)))
+        dev += p.ridge * x0
+    dev -= g_full
+    np.square(dev, out=dev)
+    return float(np.mean(np.sum(dev, axis=1)))

@@ -18,8 +18,8 @@ import yaml
 
 from . import __version__
 from .advisor import estimate_L, spectral_bounds
-from .datasets import load_libsvm, scale_max_abs, split_half
-from .errors import ConfigError, DivergenceError
+from .datasets import load_libsvm
+from .errors import ConfigError, DivergenceError, ParseError
 from .estimators import estimate_sigma2
 from .kernel import make_admm_params, stationarity
 from .problems import build_fused_logistic, build_graph_guided, objective
@@ -354,18 +354,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     _validate(cfg)
     os.makedirs(out_dir, exist_ok=True)
 
-    ds = load_libsvm(cfg.dataset_path, d_hint=cfg.d_hint)
-    if cfg.normalize:
-        ds = scale_max_abs(ds)
-    if cfg.split:
-        if ds.n < 2:
-            raise ConfigError(
-                f"split.enabled needs at least 2 data rows, but {cfg.dataset_path} has {ds.n}"
-            )
-        pair = split_half(ds, _derive_seed(cfg.seed, 0))
-        train, test = pair.train, pair.test
-    else:
-        train, test = ds, None
+    # one dense matrix from the parse on: filled in split order, scaled in
+    # place, and handed out as row views
+    split_seed = _derive_seed(cfg.seed, 0) if cfg.split else None
+    try:
+        data = load_libsvm(
+            cfg.dataset_path, d_hint=cfg.d_hint, normalize=cfg.normalize, split_seed=split_seed
+        )
+    except ParseError:
+        raise
+    except ValueError as exc:  # the split's row count; a file of no rows is a ParseError
+        raise ConfigError(
+            f"split.enabled needs at least 2 data rows, but {cfg.dataset_path} has 1"
+        ) from exc
+    train, test = (data.train, data.test) if cfg.split else (data, None)
     problem = _build_problem(cfg, train)
     test_problem = None
     if test is not None:

@@ -10,13 +10,16 @@ prints one summary line on success.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from absadmm.advisor import estimate_L, sadmm_feasibility, spider_preset, svrg_preset
-from absadmm.cli import main as cli_main
+import absadmm
 from absadmm.datasets import Dataset, dump_libsvm
 from absadmm.estimators import OracleTally, SnapshotGradient, estimate_sigma2, minibatch_grad
 from absadmm.kernel import dual_step, make_admm_params, metric_apply, x_step, y_step
@@ -327,7 +330,8 @@ def test_experiment_reruns_byte_identical(tmp_path, make_dataset):
     """Two runs of one experiment config give byte-identical traces.
 
     Identity is checked after textually dropping the wall-clock column, the
-    only field allowed to differ.
+    only field allowed to differ.  Each run is a child process with one BLAS
+    thread, the fixed thread count that the README's promise assumes.
     """
     data = tmp_path / "data.libsvm"
     data.write_text(dump_libsvm(make_dataset(24, 4, seed=17)))
@@ -360,10 +364,17 @@ methods:
         drop = cols.index("time_ms")
         return "\n".join(",".join(f.split(",")[i] for i in range(len(cols)) if i != drop) for f in lines)
 
+    src = os.path.dirname(os.path.dirname(absadmm.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+        argv = ["run", "--config", str(config), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "absadmm.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
         outs.append(out)
     traces = sorted(f.name for f in outs[0].glob("trace_*.csv"))
     assert len(traces) == 6

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 
 import numpy as np
 import pytest
@@ -396,6 +397,34 @@ def test_cli_run_bad_values_are_data_errors(tmp_path, capsys, data, line):
     cfg.write_text(yaml.safe_dump(_config_doc(str(path))))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert f"data error: line {line}: " in capsys.readouterr().err
+
+
+def _damaged_gzip(path, damage):
+    """A gzip file cut in half, or one whose first deflate block has the reserved type."""
+    text = "".join(f"{1 if i % 2 else -1} 1:{i}.5 3:-{i}\n" for i in range(200))
+    blob = bytearray(gzip.compress(text.encode(), mtime=0))
+    if damage == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob[10] |= 0x06  # BTYPE 11 right after the 10-byte header
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "advise"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_cli_damaged_gzip_is_data_error(tmp_path, capsys, damage, command):
+    path = _damaged_gzip(tmp_path / "data.txt.gz", damage)
+    if command == "run":
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(_config_doc(path)))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["advise", "--dataset", path, "--problem", "fused_logistic"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: truncated or corrupt gzip data")
+    assert "Traceback" not in err
 
 
 def test_cli_run_split_of_one_row_is_config_error(tmp_path, capsys):
