@@ -26,6 +26,17 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
+def _at_least_one(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="absadmm",
@@ -46,7 +57,7 @@ def _build_parser():
     advp.add_argument(
         "--problem", required=True, choices=["fused_logistic", "graph_guided"]
     )
-    advp.add_argument("--d-hint", type=int, default=None)
+    advp.add_argument("--d-hint", type=_at_least_one, default=None)
     advp.add_argument("--l1", type=float, default=1e-3, help="nonsmooth penalty weight")
     advp.add_argument("--l2", type=float, default=0.0, help="ridge weight (graph_guided)")
     advp.add_argument("--corr-threshold", type=float, default=0.7)

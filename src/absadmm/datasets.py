@@ -69,13 +69,18 @@ class SplitPair:
 
 
 # Text is parsed in blocks of whole lines of about this many bytes, so that
-# the temporaries of a parse, some 10 to 30 bytes per byte of text, are bounded
-# by the block and not by the file.  Blocks from 128 KiB to 1 MiB parse the
-# bench files at about the same speed; smaller ones need less memory.
+# the temporaries of a parse, some 15 to 30 bytes per byte of text, are bounded
+# by the block and not by the file.  Blocks from 256 KiB to 1 MiB parse the
+# bench files within 5% of each other, 128 KiB ones about 12% slower and
+# 64 KiB ones up to 75% slower; smaller ones need less memory.
 _BLOCK_BYTES = 1 << 18
 
 # Columns are stored as int32 until the dense matrix is filled.
 _MAX_INDEX = 2**31 - 1
+
+# Each block is padded with separators, enough that the word of eight bytes
+# that ends at any of its numbers lies inside the padded block.
+_PAD = b" " * 8
 
 # Byte classes; every class up to _CR separates tokens.
 _SPACE, _LF, _CR, _DIGIT, _SIGN, _DOT, _EXP, _COLON, _OTHER = range(9)
@@ -102,8 +107,6 @@ _CLASS_OF = _byte_table(
     ],
     _OTHER,
 )
-# Turns each pair's colon into a separator.
-_COLON_TO_SPACE = bytes(range(256)).replace(b":", b" ")
 
 # Per-token error codes, in the order the checks of one token run.
 (
@@ -117,6 +120,30 @@ _COLON_TO_SPACE = bytes(range(256)).replace(b":", b" ")
     _TOO_LARGE,
     _NON_FINITE,
 ) = range(9)
+
+# Word constants are np.uint64 throughout: before numpy 2, uint64 mixed with
+# int64 gives float64.
+_U8 = np.uint64(8)
+_ZEROS = np.uint64(0x3030303030303030)  # b"00000000"
+# _KEEP[n] keeps the high n bytes of a word, the last n of its text.
+_KEEP = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], dtype=np.uint64)
+# Removing the byte at offset k (0 to 7) of a word moves the bytes below it
+# up one: word & _ABOVE[k + 1] | (word & _BELOW[k + 1]) << 8.  The first and
+# last entries leave a word as it is.
+_BELOW = np.array([0] + [2 ** (8 * k) - 1 for k in range(8)] + [0], dtype=np.uint64)
+_ABOVE = np.array(
+    [2**64 - 1] + [2**64 - 2 ** (8 * k + 8) for k in range(8)] + [2**64 - 1], dtype=np.uint64
+)
+_LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
+_LOW_HALF = np.uint64(0xFFFF)
+# Adding 0x4F to a digit or a dot sets its top bit exactly for '1' to '9'.
+_NONZERO_BIAS = np.uint64(0x4F4F4F4F4F4F4F4F)
+_TOP_BITS = np.uint64(0x8080808080808080)
+# _MUL[e + 22] / _DIV[e + 22] is 10**e for |e| <= 22 as a product or a
+# quotient of exact doubles; with a mantissa below 2**53, each of the two
+# operations is exact or the one correctly rounded step (Clinger 1990).
+_MUL = np.array([float(10 ** max(e, 0)) for e in range(-22, 23)])
+_DIV = _MUL[::-1].copy()
 
 
 def _faults(seq, before, after):
@@ -152,16 +179,124 @@ def _faults(seq, before, after):
     return bad
 
 
+def _digits(words, end, length):
+    """The values of the ``length`` (0 to 8) digits before each ``end``, one per byte.
+
+    ``words[q]`` is the little-endian word of the bytes from ``q``, so the
+    first digit is in the low byte of its word; the bytes before the digits
+    are 0.
+    """
+    return (words[end - 8] ^ _ZEROS) & _KEEP[length]
+
+
+def _value(word):
+    """The number whose eight decimal digits are the bytes of ``word``, the first in the low byte.
+
+    Three multiply-shift steps combine the digits in pairs, fours and eights
+    (Lemire 2021); no lane exceeds its width, so the result is exact.
+    """
+    w = word * np.uint64(10) + (word >> _U8)
+    w = (w & _LOW_BYTES) * np.uint64(100) + ((w >> np.uint64(16)) & _LOW_BYTES)
+    return (w & _LOW_HALF) * np.uint64(10000) + ((w >> np.uint64(32)) & _LOW_HALF)
+
+
+def _indices(words, byte, first, colons):
+    """Read each index, the digits from ``first`` up to its colon.
+
+    An index of up to eight digits is one word.  A longer one is read digit
+    by digit and saturates above _MAX_INDEX; messages re-read the exact value.
+    A malformed pair's value is never used.
+    """
+    size = colons - first
+    idx = _value(_digits(words, colons, np.minimum(size, 8))).astype(np.int64)
+    long = np.flatnonzero(size > 8)
+    if long.size:
+        first, last, value = first[long], colons[long] - 1, np.zeros(long.size, dtype=np.int64)
+        for j in range(int(size[long].max())):
+            at = np.minimum(first + j, last)
+            more = np.minimum(value * 10 + byte[at] - ord("0"), _MAX_INDEX + 1)
+            value = np.where(first + j <= last, more, value)
+        idx[long] = value
+    return idx
+
+
+def _numbers(words, byte, where, seq, head, nxt, end):
+    """Convert the numbers that start at ``head`` and end at ``end``, bitwise as ``float``.
+
+    ``nxt`` is the index in ``where``/``seq`` of each number's first non-digit
+    byte at or after ``head``; the numbers are valid under the grammar.  When
+    the mantissa (dot included) has at most eight bytes after its leading
+    zeros and at most 16 in all, and the decimal exponent is within 22, the
+    value is one exact product or quotient.  Every other number is converted
+    by ``np.fromstring``.
+    """
+    signed = seq[nxt] == _SIGN
+    j = nxt + signed
+    dot = seq[j] == _DOT
+    dot_at = where[j]
+    j += dot
+    stop = where[j]  # the mantissa ends at the exponent mark or the separator
+    size = stop - head - signed
+    # the mantissa's last eight bytes, without the dot if they hold it
+    word = _digits(words, stop, np.minimum(size, 8))
+    drop = np.clip(dot_at - stop + 9, 0, 9)
+    word = (word & _ABOVE[drop]) | ((word & _BELOW[drop]) << _U8)
+    del drop
+    exp10 = dot_at - stop + dot  # minus the digits after the dot
+    del dot_at, dot
+    fast = size <= 16
+    with_exp = np.flatnonzero(seq[j] == _EXP)
+    if with_exp.size:
+        k = j[with_exp] + 1
+        exp_signed = seq[k] == _SIGN
+        mark = stop[with_exp]
+        exp_end = where[k + exp_signed]
+        exp_size = exp_end - (mark + 1 + exp_signed)
+        value = _value(_digits(words, exp_end, np.minimum(exp_size, 8))).astype(np.int64)
+        exp10[with_exp] += np.where(byte[mark + 1] == ord("-"), -value, value)
+        fast[with_exp[exp_size > 8]] = False
+    del j
+    fast &= np.abs(exp10) <= 22
+    # A mantissa of 9 to 16 bytes is fast when the bytes before its last eight
+    # are zeros or its dot.
+    long = np.flatnonzero(fast & (size > 8))
+    if long.size:
+        prefix = words[stop[long] - 16] & _KEEP[size[long] - 8]
+        fast[long] = ((prefix + _NONZERO_BIAS) & _TOP_BITS) == 0
+    del stop, size
+    at = np.clip(exp10 + 22, 0, 44)
+    del exp10
+    nums = _value(word).astype(np.float64)
+    del word
+    nums *= _MUL[at]
+    nums /= _DIV[at]
+    np.negative(nums, out=nums, where=byte[head] == ord("-"))
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # the text with every byte outside the slow numbers blanked
+        edge = np.zeros(byte.size, dtype=np.int8)
+        edge[head[slow]] = 1
+        edge[end[slow]] = -1
+        text = np.where(np.cumsum(edge, dtype=np.int8), byte, np.uint8(ord(" ")))
+        exact = np.fromstring(text.tobytes(), sep=" ")
+        if exact.size != slow.size:
+            raise RuntimeError("LIBSVM block: number count disagrees with the token scan")
+        nums[slow] = exact
+    return nums
+
+
 def _parse_block(buf, line0, d_hint):
     """Parse one block of whole lines that follows ``line0`` lines.
 
     Returns ``(labels, pairs per row, 0-based columns, values, line breaks)``.
     Raises ``ParseError`` naming the first offending line of the block.
     """
-    # Byte classes, padded with two separators on each side; byte p of the
-    # block is cls[p + 2].
-    pad = bytes([_SPACE, _SPACE])
-    cls = np.frombuffer(pad + buf.translate(_CLASS_OF) + pad, dtype=np.uint8)
+    # The block padded on each side; byte p of the block is byte p + pad.
+    padded = _PAD + buf + _PAD
+    pad = len(_PAD)
+    byte = np.frombuffer(padded, dtype=np.uint8)
+    cls = np.frombuffer(padded.translate(_CLASS_OF), dtype=np.uint8)
     # Every non-digit byte in order, with the classes of its two neighbours.
     where = np.flatnonzero(cls != _DIGIT)
     seq = cls[where]
@@ -173,28 +308,31 @@ def _parse_block(buf, line0, d_hint):
     after[:-1] = np.where(gap, digit, seq[1:])
 
     sep = seq <= _CR
-    starts = where[sep & (after > _CR)] + 1
-    ends = where[sep & (before > _CR)]
+    opens = np.flatnonzero(sep & (after > _CR))  # the separator before each token
+    starts = where[opens] + 1
+    ends = where[np.flatnonzero(sep & (before > _CR))]
     # a CR ends a line unless an LF follows it
-    breaks = where[(seq == _LF) | ((seq == _CR) & (after != _LF))]
+    breaks = where[np.flatnonzero((seq == _LF) | ((seq == _CR) & (after != _LF)))]
+    faults = where[np.flatnonzero(_faults(seq, before, after))]
+    del gap, before, after, sep
     if starts.size == 0:
         empty = np.empty(0)
         return empty, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32), empty, breaks.size
 
-    line = np.searchsorted(breaks, starts)
-    is_label = np.empty(starts.size, dtype=bool)
+    # the first token of the block and the first after each line break are labels
+    is_label = np.zeros(starts.size + 1, dtype=bool)
     is_label[0] = True
-    is_label[1:] = line[1:] != line[:-1]
+    is_label[np.searchsorted(starts, breaks)] = True
+    is_label = is_label[:-1]
     labels_at = np.flatnonzero(is_label)
     pairs_at = np.flatnonzero(~is_label)
 
     bad = np.zeros(starts.size, dtype=bool)
-    faults = _faults(seq, before, after)
-    if faults.any():
-        bad[np.searchsorted(starts, where[faults], side="right") - 1] = True
+    bad[np.searchsorted(starts, faults, side="right") - 1] = True
     # Each pair holds one colon and each label none exactly when there are as
     # many colons as pairs and the k-th colon lies inside the k-th pair.
-    colons = where[seq == _COLON]
+    colon_at = np.flatnonzero(seq == _COLON)
+    colons = where[colon_at]
     first = starts[pairs_at]
     if not (
         colons.size == pairs_at.size
@@ -206,34 +344,27 @@ def _parse_block(buf, line0, d_hint):
         bad |= count != ~is_label
         # a pair without exactly one colon is read as an empty index
         colons = np.where(count[pairs_at] == 1, np.append(colons, 0)[held[pairs_at]], first)
+        colon_at = np.searchsorted(where, colons)
+    # An index is all digits when its colon is the first non-digit of the pair.
+    bad[pairs_at[(colon_at != opens[pairs_at] + 1) | (colons == first)]] = True
 
-    # Read each index left to right and blank its digits, so that the number
-    # scan below sees one number per token.  Past its end an index re-reads
-    # its last digit (an empty one, the separator before it).  Indices
-    # saturate above _MAX_INDEX; messages re-read the exact value.
-    text = np.frombuffer(b"  " + buf.translate(_COLON_TO_SPACE) + b"  ", dtype=np.uint8).copy()
-    last = colons - 1
-    bad_pair = colons == first
-    idx = np.zeros(pairs_at.size, dtype=np.int64)
-    for j in range(int((colons - first).max(initial=0))):
-        at = np.minimum(first + j, last)
-        bad_pair |= cls[at] != _DIGIT
-        more = np.minimum(idx * 10 + text[at] - ord("0"), _MAX_INDEX + 1)
-        idx = np.where(first + j <= last, more, idx)
-        text[at] = ord(" ")
-    bad[pairs_at[bad_pair]] = True
+    words = np.ndarray(byte.size - 7, dtype="<u8", buffer=padded, strides=(1,))
+    idx = _indices(words, byte, first, colons)
+    del first
 
+    # Each number starts at its token or just after its colon, and ``nxt``
+    # indexes its first non-digit byte.
+    head = starts.copy()
+    head[pairs_at] = colons + 1
+    nxt = opens + 1
+    nxt[pairs_at] = colon_at + 1
+    del opens, colons, colon_at
     good = ~bad
-    for s, e in zip(starts[bad], ends[bad]):
-        text[s:e] = ord(" ")
-    n_good = int(good.sum())
-    nums = np.fromstring(text.tobytes(), sep=" ") if n_good else np.empty(0)
-    if nums.size != n_good:
-        raise RuntimeError("LIBSVM block: number count disagrees with the token scan")
-    if n_good < starts.size:
-        number = np.zeros(starts.size)
-        number[good] = nums
-        nums = number
+    if bad.any():
+        nums = np.zeros(starts.size)
+        nums[good] = _numbers(words, byte, where, seq, head[good], nxt[good], ends[good])
+    else:
+        nums = _numbers(words, byte, where, seq, head, nxt, ends)
     y = nums[labels_at]
     val = nums[pairs_at]
 
@@ -254,8 +385,9 @@ def _parse_block(buf, line0, d_hint):
     failed = np.flatnonzero(code)
     if failed.size:
         k = failed[0]
-        token = buf[starts[k] - 2 : ends[k] - 2]
-        raise ParseError(_message(code[k], line0 + line[k] + 1, token, d_hint))
+        token = buf[starts[k] - pad : ends[k] - pad]
+        line = line0 + int(np.searchsorted(breaks, starts[k])) + 1
+        raise ParseError(_message(code[k], line, token, d_hint))
 
     row_pairs = np.diff(np.append(labels_at, starts.size)) - 1
     labels = np.where(y > 0, 1.0, -1.0)
@@ -306,6 +438,8 @@ def _line_blocks(stream):
 
 def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     """Parse into one dense buffer; see ``load_libsvm`` for the keywords."""
+    if d_hint is not None and d_hint < 1:
+        raise ValueError(f"d_hint must be at least 1, got {d_hint}")
     blocks = []
     lines = 0
     for buf in _line_blocks(stream):
@@ -348,8 +482,9 @@ def parse_libsvm(text, d_hint=None) -> Dataset:
     ASCII decimal indices and finite values (see the README's "Data format").
     Labels are canonicalized: nonpositive maps to -1, positive to +1.
     The feature count is the largest index observed, or ``d_hint`` when given
-    (an index beyond ``d_hint`` is a parse error).  Every violation raises
-    ``ParseError`` naming the first offending line.
+    (an index beyond ``d_hint`` is a parse error; a ``d_hint`` below 1 raises
+    ``ValueError``).  Every violation raises ``ParseError`` naming the first
+    offending line.  Numbers convert bitwise as Python's ``float`` does.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")

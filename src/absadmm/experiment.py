@@ -279,6 +279,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
+    if cfg.d_hint is not None and cfg.d_hint < 1:
+        raise ConfigError(f"dataset.d_hint must be at least 1, got {cfg.d_hint}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be at least 1")
     if cfg.workers < 1:

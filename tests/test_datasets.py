@@ -41,6 +41,16 @@ def test_parse_d_hint_pads_and_bounds():
         parse_libsvm("1 7:1\n", d_hint=5)
 
 
+@pytest.mark.parametrize("d_hint", [0, -3])
+def test_d_hint_below_one_is_a_value_error(tmp_path, d_hint):
+    path = tmp_path / "toy.txt"
+    path.write_text("1 1:1\n")
+    for parse, source in ((parse_libsvm, "1 1:1\n"), (load_libsvm, path)):
+        with pytest.raises(ValueError, match=f"d_hint must be at least 1, got {d_hint}") as exc:
+            parse(source, d_hint=d_hint)
+        assert not isinstance(exc.value, ParseError)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 2.*duplicate"):
         parse_libsvm("1 1:1\n-1 2:1 2:3\n")

@@ -440,6 +440,28 @@ def test_cli_run_split_of_one_row_is_config_error(tmp_path, capsys):
     assert list(out.iterdir()) == []  # no cell ran
 
 
+@pytest.mark.parametrize("d_hint", [0, -3])
+def test_cli_run_d_hint_below_one_is_config_error(tmp_path, data_file, capsys, d_hint):
+    doc = _config_doc(data_file)
+    doc["dataset"]["d_hint"] = d_hint
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: dataset.d_hint must be at least 1, got {d_hint}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_hint", ["0", "-3"])
+def test_cli_advise_d_hint_below_one_is_usage_error(data_file, capsys, d_hint):
+    argv = ["advise", "--dataset", data_file, "--problem", "fused_logistic", "--d-hint", d_hint]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --d-hint: must be at least 1, got {d_hint}" in capsys.readouterr().err
+
+
 def test_cli_run_bad_params_is_config_error(tmp_path, config_file, capsys):
     path = config_file(methods=[{"name": "sadmm", "beta": 1.0, "eta": -0.5}])
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2

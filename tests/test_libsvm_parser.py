@@ -2,12 +2,13 @@
 
 import gzip
 import itertools
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from libsvm_reference import parse_libsvm as reference_parse
 
@@ -157,7 +158,7 @@ def test_token_grammar_exhaustive():
     is accepted exactly when it matches the documented grammar, and accepted
     numbers equal ``float`` bitwise."""
     tokens = [b"".join(t) for n in range(1, 5) for t in itertools.product(
-        [b"1", b"-", b"+", b".", b"e", b":", b"x"], repeat=n)]
+        [b"0", b"1", b"-", b"+", b".", b"e", b":", b"x"], repeat=n)]
     for tok in tokens + _LONGER:
         if re.fullmatch(_FLOAT, tok):
             ds = parse_libsvm(tok + b" 1:1")
@@ -173,6 +174,107 @@ def test_token_grammar_exhaustive():
         else:
             with pytest.raises(ParseError, match="line 1: "):
                 parse_libsvm(b"1 " + tok, d_hint=20)
+
+
+# -- exact conversion ----------------------------------------------------------------
+
+
+def _assert_read_as_float(tokens, block_bytes=datasets._BLOCK_BYTES):
+    """Each token, as a line's label and as its value of feature 1, reads as ``float`` does."""
+    text = "".join(f"{tok} 1:{tok}\n" for tok in tokens).encode()
+    want = np.array([float(tok) for tok in tokens])
+    labels = np.where(want > 0, 1.0, -1.0)
+    assert _parse_in_blocks(text, block_bytes, d_hint=1) == (
+        (want.size, 1), want.tobytes(), labels.tobytes()
+    ), tokens
+
+
+@st.composite
+def _written(draw):
+    """A double as %.{p}g, %.{p}f or %.{p}e writes it, with an optional '+',
+    leading zeros, an upper-case 'E' and a zero-padded or unsigned exponent."""
+    x = draw(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-25, 25)),
+            st.integers(-(10**12), 10**12).map(float),
+        )
+    )
+    text = f"%.{draw(st.integers(0, 17))}{draw(st.sampled_from('gfe'))}" % x
+    if text.startswith("-"):
+        sign, text = "-", text[1:]
+    else:
+        sign = draw(st.sampled_from(["", "+"]))
+    mantissa, mark, exponent = text.partition("e")
+    mantissa = "0" * draw(st.sampled_from([0, 0, 1, 3, 9])) + mantissa
+    if mark:
+        exp_sign, digits = exponent[0], exponent[1:]
+        if exp_sign == "+" and draw(st.booleans()):
+            exp_sign = ""
+        mark = draw(st.sampled_from("eE"))
+        exponent = exp_sign + "0" * draw(st.integers(0, 6)) + digits
+    token = sign + mantissa + mark + exponent
+    assume(math.isfinite(float(token)))  # "%.0e" may round up past the largest double
+    return token
+
+
+@given(tokens=st.lists(_written(), min_size=1, max_size=30), block_bytes=st.integers(16, 256))
+@settings(max_examples=200, deadline=None)
+def test_written_numbers_read_bitwise_as_float(tokens, block_bytes):
+    _assert_read_as_float(tokens, block_bytes)
+
+
+_BOUNDARY = [
+    # one word of digits, and one byte more
+    "99999999", "999999999", "12345678", "1234567.", ".1234567", "1234567.8",
+    # zeros and signs
+    "-0", "-0.0e0", "+0", "0.", "-.0", "00000000000000000000",
+    # exponents at and past the exact range
+    "+.5E+022", "1e22", "1e23", "1e-22", "1e-23", "123e-24", "99999999e22", "9.9999999e22",
+    "1e00005", "1e+000000022", "1e-0000000005", "1e-100000005",
+    # leading zeros: a mantissa of up to 16 bytes whose first ones are zeros or the dot
+    "0.0001234", "-0.0001234", "000000001.5", "0000000000000001", "00000000000000001",
+    "0.000000000000001", "0000000.00000001",
+    # the extremes of the double range and values that must round
+    "5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308",
+    "1.7976931348623157e308", "9007199254740993", "0.1", "0.3", "123456789012345678901234567890",
+]
+
+
+def test_boundary_numbers_read_bitwise_as_float_in_every_block_size():
+    for block_bytes in [datasets._BLOCK_BYTES, *range(16, 257)]:
+        _assert_read_as_float(_BOUNDARY, block_bytes)
+
+
+def test_four_significant_digits_never_reach_fromstring(tmp_path, monkeypatch):
+    """Values written with %.4g, the format of the wide bench file, take the
+    one-word path: plain, with zeros after the dot, and with exponents.
+    Full-precision values do reach ``np.fromstring``."""
+    rng = np.random.default_rng(4)
+    feats = rng.standard_normal((400, 6)) * 10.0 ** rng.integers(-15, 16, size=(400, 6))
+    feats[rng.random(feats.shape) < 0.2] = 0.0
+    labels = np.where(rng.random(400) < 0.5, 1.0, -1.0)
+    path = tmp_path / "four.libsvm"
+
+    def write(fmt):
+        lines = []
+        for label, row in zip(labels, feats):
+            pairs = " ".join(f"{j + 1}:{fmt % v}" for j, v in enumerate(row) if v != 0.0)
+            lines.append(f"{label:+.0f} {pairs}\n")
+        path.write_text("".join(lines))
+        return np.array([[float(fmt % v) for v in row] for row in feats])
+
+    calls = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+    want = write("%.4g")
+    text = path.read_text()
+    assert re.search(r":-?0\.000[1-9]\d{3} ", text) and "e-" in text and "e+" in text
+    assert load_libsvm(path).features.tobytes() == want.tobytes()
+    assert calls == []
+    want = write("%.17g")
+    assert load_libsvm(path).features.tobytes() == want.tobytes()
+    assert calls
 
 
 @pytest.mark.parametrize(
@@ -193,6 +295,9 @@ def test_token_grammar_exhaustive():
         (b"1 2147483648:1\n", "line 1: feature index 2147483648 exceeds the largest supported index 2147483647"),
         (b"1 99999999999999999999999:1\n", "line 1: feature index 99999999999999999999999 exceeds"),
         (b"1 00:1\n", "line 1: feature index 0 is not 1-based"),
+        # an index of eight digits is one word, one of nine is read digit by digit
+        (b"1 99999999:1 0099999999:1\n", "line 1: duplicate feature index 99999999"),
+        (b"1 100000000:1 99999999:1\n", "line 1: feature indices not increasing at 99999999"),
     ],
 )
 def test_values_and_bytes_outside_the_grammar(text, message):
