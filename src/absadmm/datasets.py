@@ -142,8 +142,11 @@ _TOP_BITS = np.uint64(0x8080808080808080)
 # _MUL[e + 22] / _DIV[e + 22] is 10**e for |e| <= 22 as a product or a
 # quotient of exact doubles; with a mantissa below 2**53, each of the two
 # operations is exact or the one correctly rounded step (Clinger 1990).
-_MUL = np.array([float(10 ** max(e, 0)) for e in range(-22, 23)])
-_DIV = _MUL[::-1].copy()
+# _MUL[e + 67] / _DIV[e + 67] is -10**e the same way: rounding is symmetric in
+# the sign, so a negative number is the negated value bitwise, -0 included.
+_POW10 = np.array([float(10 ** max(e, 0)) for e in range(-22, 23)])
+_MUL = np.concatenate([_POW10, -_POW10])
+_DIV = np.tile(_POW10[::-1], 2)
 
 
 def _faults(seq, before, after):
@@ -264,13 +267,14 @@ def _numbers(words, byte, where, seq, head, nxt, end):
         prefix = words[stop[long] - 16] & _KEEP[size[long] - 8]
         fast[long] = ((prefix + _NONZERO_BIAS) & _TOP_BITS) == 0
     del stop, size
-    at = np.clip(exp10 + 22, 0, 44)
+    exp10 += 22
+    at = np.clip(exp10, 0, 44, out=exp10)
     del exp10
+    at += 45 * (byte[head] == ord("-"))
     nums = _value(word).astype(np.float64)
     del word
     nums *= _MUL[at]
     nums /= _DIV[at]
-    np.negative(nums, out=nums, where=byte[head] == ord("-"))
 
     slow = np.flatnonzero(~fast)
     if slow.size:

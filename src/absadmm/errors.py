@@ -16,9 +16,29 @@ class UnsupportedProblemError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when a solver iterate becomes non-finite.
 
-    Carries the trace collected up to (not including) the bad iteration.
+    Carries the trace collected up to (not including) the bad iteration and,
+    when the solver raises it, where the run broke down: ``block`` is the
+    first non-finite block in update order ("y", "x" or "lam"), ``row`` the
+    1-based iteration, ``batch_size`` that row's scheduled draw, ``dx_sq`` its
+    squared step ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last
+    finite stationarity evaluated (None before there is one).
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(
+        self,
+        message,
+        trace=None,
+        *,
+        block=None,
+        row=None,
+        batch_size=None,
+        dx_sq=None,
+        last_stationarity=None,
+    ):
         super().__init__(message)
         self.trace = trace if trace is not None else []
+        self.block = block
+        self.row = row
+        self.batch_size = batch_size
+        self.dx_sq = dx_sq
+        self.last_stationarity = last_stationarity

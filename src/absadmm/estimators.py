@@ -1,11 +1,14 @@
 """Stochastic gradient estimators and oracle-call accounting.
 
 The solver loop drives one estimator per run.  At the head of each anchor
-window it calls ``anchor(x, batch, tally)`` with a without-replacement batch;
-that returns the step's gradient estimate v, or None when an inner step must
-follow.  ``step(x, batch, tally)`` returns v for an inner step on a
-with-replacement batch.  Anchors take a ``minibatch_grad``; an inner step
-gathers its batch once and takes both of its gradients from those rows.
+window it calls ``anchor(x, batch, tally, full_grad)`` with a
+without-replacement batch; that returns the step's gradient estimate v, or
+None when an inner step must follow.  ``step(x, batch, tally)`` returns v for
+an inner step on a with-replacement batch.  Anchors take a ``minibatch_grad``;
+an inner step gathers its batch once and takes both of its gradients from
+those rows.  ``full_grad`` is the exact gradient at x when the loop already
+holds it from an evaluation; a whole-set anchor returns it in place of a
+second pass over the data and is charged as if it had made that pass.
 
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
@@ -64,11 +67,19 @@ def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
-def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally):
-    """Plain mini-batch gradient: mean of the component gradients over ``batch``."""
-    idx = np.sort(np.asarray(batch, dtype=np.intp))
+def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally, full_grad=None):
+    """Plain mini-batch gradient: mean of the component gradients over ``batch``.
+
+    ``batch`` holds distinct indices.  When it is the whole set and
+    ``full_grad``, the exact gradient at x, is given, that is the result: the
+    whole set reduces in index order like ``full_gradient``, so the two are
+    bitwise equal.  The batch is charged either way.
+    """
+    idx = np.asarray(batch, dtype=np.intp)
     tally.solver_calls += idx.shape[0]
-    return batch_mean_grad(p, x, idx)
+    if full_grad is not None and idx.shape[0] == p.n:
+        return full_grad
+    return batch_mean_grad(p, x, np.sort(idx))
 
 
 class FreshGradient:
@@ -80,8 +91,8 @@ class FreshGradient:
     def __init__(self, p: ProblemInstance):
         self.p = p
 
-    def anchor(self, x, batch, tally: OracleTally):
-        return minibatch_grad(self.p, x, batch, tally)
+    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
+        return minibatch_grad(self.p, x, batch, tally, full_grad)
 
 
 class SnapshotGradient:
@@ -97,9 +108,9 @@ class SnapshotGradient:
         self.ref_x = None
         self.ref_grad = None
 
-    def anchor(self, x, batch, tally: OracleTally):
+    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
         self.ref_x = x
-        self.ref_grad = minibatch_grad(self.p, x, batch, tally)
+        self.ref_grad = minibatch_grad(self.p, x, batch, tally, full_grad)
         return None
 
     def step(self, x, batch, tally: OracleTally):
@@ -118,8 +129,8 @@ class RecursiveGradient(SnapshotGradient):
     rolls the reference forward: ref_x <- x, ref_grad <- v.
     """
 
-    def anchor(self, x, batch, tally: OracleTally):
-        super().anchor(x, batch, tally)
+    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
+        super().anchor(x, batch, tally, full_grad)
         return self.ref_grad
 
     def step(self, x, batch, tally: OracleTally):

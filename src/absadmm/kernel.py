@@ -1,18 +1,23 @@
 """One linearized ADMM iteration: y update, metric-linearized x update, dual update.
 
 The problem is split as Ax - y = 0, and A enters only through the
-constraint's O(nnz) products ``matvec`` (A x) and ``rmatvec`` (A^T u).  The x
-update minimizes the linearization of the augmented Lagrangian around x_k
-under the metric G = r*I - beta*eta*A^T A, which reduces to the closed form
+constraint's O(nnz) products ``matvec`` (A x) and ``rmatvec`` (A^T u).  Each
+step accepts A x of its x argument as ``ax`` and forms it when not given; the
+solver carries A x_{k+1} from each dual step into the next y and x steps, so
+an iteration forms one ``matvec``.  The x update minimizes the linearization
+of the augmented Lagrangian around x_k under the metric
+G = r*I - beta*eta*A^T A, which reduces to the closed form
 x_{k+1} = x_k - (eta/r) * (v - A^T lam + beta * A^T (A x_k - y_{k+1})), so no
 linear solve is required.  The default r = beta*eta*||A^T A|| + 1 uses the
 constraint's exact spectrum, so the smallest eigenvalue of G is 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from .estimators import OracleTally
 from .problems import ProblemInstance, penalty_value, prox_g, smooth_value_and_gradient
 
 __all__ = [
@@ -23,7 +28,6 @@ __all__ = [
     "y_step",
     "x_step",
     "dual_step",
-    "metric_apply",
     "stationarity",
 ]
 
@@ -50,19 +54,24 @@ class SolverState:
     y: np.ndarray
     lam: np.ndarray
     k: int = 0
-    tally: object = None
+    tally: Optional[OracleTally] = None
 
 
 @dataclass(frozen=True)
 class StationarityReport:
     """Squared residuals of the three stationarity conditions, their sum, and
-    the composite objective f(x) + g(Ax) at the same point."""
+    the composite objective f(x) + g(Ax) at the same point.
+
+    ``grad`` is the exact gradient of f at that point, from the same pass; it
+    takes no part in comparisons.
+    """
 
     grad_term: float
     subgrad_term: float
     feas_term: float
     total: float
     objective: float
+    grad: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
@@ -79,31 +88,25 @@ def make_admm_params(constraint, beta: float, eta: float, r=None) -> AdmmParams:
     return AdmmParams(beta=beta, eta=eta, r=float(r))
 
 
-def _residual(p: ProblemInstance, x, y):
-    return p.constraint.matvec(x) - y
+def _ax(p: ProblemInstance, x, ax):
+    return p.constraint.matvec(x) if ax is None else ax
 
 
-def y_step(p: ProblemInstance, params: AdmmParams, x, lam):
+def y_step(p: ProblemInstance, params: AdmmParams, x, lam, ax=None):
     """Exact y update: prox of g/beta at Ax - lam/beta."""
-    return prox_g(p.constraint.matvec(x) - lam / params.beta, 1.0 / params.beta, p.g)
+    return prox_g(_ax(p, x, ax) - lam / params.beta, 1.0 / params.beta, p.g)
 
 
-def x_step(p: ProblemInstance, params: AdmmParams, x, y_new, lam, v):
+def x_step(p: ProblemInstance, params: AdmmParams, x, y_new, lam, v, ax=None):
     """Linearized x update given gradient estimate v."""
     cs = p.constraint
-    step = v - cs.rmatvec(lam) + params.beta * cs.rmatvec(_residual(p, x, y_new))
+    step = v - cs.rmatvec(lam) + params.beta * cs.rmatvec(_ax(p, x, ax) - y_new)
     return x - (params.eta / params.r) * step
 
 
-def dual_step(p: ProblemInstance, params: AdmmParams, x_new, y_new, lam):
+def dual_step(p: ProblemInstance, params: AdmmParams, x_new, y_new, lam, ax=None):
     """Dual update lam - beta * (A x_{k+1} - y_{k+1})."""
-    return lam - params.beta * _residual(p, x_new, y_new)
-
-
-def metric_apply(p: ProblemInstance, params: AdmmParams, dx):
-    """(G/eta) dx with G = r*I - beta*eta*A^T A."""
-    cs = p.constraint
-    return (params.r / params.eta) * dx - params.beta * cs.rmatvec(cs.matvec(dx))
+    return lam - params.beta * (_ax(p, x_new, ax) - y_new)
 
 
 def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
@@ -113,8 +116,8 @@ def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
     subgrad_term dist(-lam, subdiff g(y))^2 for the weighted L1 penalty
     feas_term    ||Ax - y||^2
 
-    One pass over the data gives both f(x) and the exact full gradient;
-    callers account for its oracle cost.
+    One pass over the data gives both f(x) and the exact full gradient, which
+    the report keeps as ``grad``; callers account for its oracle cost.
     """
     f, grad = smooth_value_and_gradient(p, w.x)
     ax = p.constraint.matvec(w.x)
@@ -133,4 +136,5 @@ def stationarity(p: ProblemInstance, w: SolverState) -> StationarityReport:
         feas_term=feas_term,
         total=grad_term + subgrad_term + feas_term,
         objective=f + penalty_value(p.g, ax),
+        grad=grad,
     )

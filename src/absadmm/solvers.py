@@ -16,8 +16,14 @@ the fixed order y -> x -> dual.
 
 Only evaluation rows touch the whole data set: one pass there gives the
 objective and the stationarity residual together.  Every other row costs its
-batch plus the O(nnz(A)) kernel products.  The row that stops a run is
-always an evaluation row.
+batch plus the O(nnz(A)) kernel products: the loop carries A x from each dual
+step into the next y and x steps, so a row forms one ``matvec`` and two
+``rmatvec``s.  The row that stops a run is always an evaluation row.
+
+An evaluation's pass also yields the exact gradient at x_{k+1}.  When the
+next row draws a whole-set anchor at that same point, the estimator takes
+that gradient instead of a second pass.  The draw still consumes the anchor
+stream, and both ledgers are charged as if each side had made its own pass.
 """
 
 import time
@@ -171,7 +177,11 @@ def _streams(seed):
 
 
 class _Loop:
-    """Per-iteration bookkeeping: kernel update, evaluation, trace row, stop flags."""
+    """Per-iteration bookkeeping: kernel update, evaluation, trace row, stop flags.
+
+    ``ax`` is A x at the current x, and ``full_grad`` the exact gradient there
+    when the last row was evaluated, else None.
+    """
 
     def __init__(self, p, cfg, test_objective, step_monitor):
         self.p = p
@@ -179,6 +189,9 @@ class _Loop:
         self.test_objective = test_objective
         self.monitor = step_monitor
         self.state = _init_state(p)
+        self.ax = np.zeros(p.constraint.m)  # A x_0 with x_0 = 0
+        self.full_grad = None
+        self.last_stationarity = None
         self.trace = []
         self.clock = _EvalClock(cfg.eval_stride, p.n)
         self.t0 = time.perf_counter()
@@ -187,17 +200,13 @@ class _Loop:
     def step(self, v, batch_col: int, epoch_col: int) -> float:
         """Apply one y/x/dual update, record the row, return ||dx||^2."""
         p, cfg, state = self.p, self.cfg, self.state
-        y_new = y_step(p, cfg.admm, state.x, state.lam)
-        x_new = x_step(p, cfg.admm, state.x, y_new, state.lam, v)
-        lam_new = dual_step(p, cfg.admm, x_new, y_new, state.lam)
-        if not (
-            np.isfinite(x_new).all()
-            and np.isfinite(y_new).all()
-            and np.isfinite(lam_new).all()
-        ):
-            raise DivergenceError(
-                f"non-finite iterate at iteration {state.k + 1}", trace=self.trace
-            )
+        y_new = y_step(p, cfg.admm, state.x, state.lam, ax=self.ax)
+        x_new = x_step(p, cfg.admm, state.x, y_new, state.lam, v, ax=self.ax)
+        ax_new = p.constraint.matvec(x_new)
+        lam_new = dual_step(p, cfg.admm, x_new, y_new, state.lam, ax=ax_new)
+        for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
+            if not np.isfinite(arr).all():
+                self._diverged(block, batch_col, x_new)
         if self.monitor is not None:
             self.monitor(
                 StepInfo(
@@ -212,6 +221,7 @@ class _Loop:
         dx = x_new - state.x
         state.x, state.y, state.lam = x_new, y_new, lam_new
         state.k += 1
+        self.ax, self.full_grad = ax_new, None
 
         row = state.k
         over_budget = (
@@ -223,6 +233,9 @@ class _Loop:
             report = stationarity(p, state)
             state.tally.eval_calls += p.n
             obj, stat_total = report.objective, report.total
+            self.full_grad = report.grad
+            if np.isfinite(stat_total):
+                self.last_stationarity = stat_total
             if self.test_objective is not None:
                 test_val = self.test_objective(state.x)
         self.trace.append(
@@ -243,6 +256,24 @@ class _Loop:
             and stat_total <= cfg.target_epsilon
         )
         return float(dx @ dx)
+
+    def _diverged(self, block: str, batch_size: int, x_new):
+        with np.errstate(all="ignore"):
+            dx = x_new - self.state.x
+            dx_sq = float(dx @ dx)
+        row, last = self.state.k + 1, self.last_stationarity
+        last_text = "none" if last is None else f"{last:.6g}"
+        raise DivergenceError(
+            f"non-finite iterate at iteration {row}: block {block} "
+            f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
+            f"last finite stationarity {last_text})",
+            trace=self.trace,
+            block=block,
+            row=row,
+            batch_size=batch_size,
+            dx_sq=dx_sq,
+            last_stationarity=last,
+        )
 
     def result(self) -> RunResult:
         return RunResult(trace=self.trace, state=self.state)
@@ -280,7 +311,7 @@ def run(
         if k % window == 0:
             N = adaptive_batch(sp, acc.value_for_next_epoch) if adaptive else static_batch(sp)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            v = est.anchor(state.x, anchor, state.tally)
+            v = est.anchor(state.x, anchor, state.tally, loop.full_grad)
             batch_col = N
         if v is None:
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)

@@ -22,7 +22,7 @@ from absadmm.advisor import estimate_L, sadmm_feasibility, spider_preset, svrg_p
 import absadmm
 from absadmm.datasets import Dataset, dump_libsvm
 from absadmm.estimators import OracleTally, SnapshotGradient, estimate_sigma2, minibatch_grad
-from absadmm.kernel import dual_step, make_admm_params, metric_apply, x_step, y_step
+from absadmm.kernel import dual_step, make_admm_params, x_step, y_step
 from absadmm.problems import (
     NonsmoothSpec,
     build_fused_logistic,
@@ -33,6 +33,7 @@ from absadmm.problems import (
 )
 from absadmm.schedulers import SchedulerParams, static_batch
 from absadmm.solvers import METHODS, SolverConfig, run
+from kernel_reference import metric_apply
 
 
 def test_dual_gradient_identity_every_variant(make_dataset):

@@ -67,18 +67,18 @@ def test_update_order_y_x_dual(fused, monkeypatch):
     calls = []
     real_y, real_x, real_dual = solvers.y_step, solvers.x_step, solvers.dual_step
 
-    def spy_y(p, params, x, lam):
-        out = real_y(p, params, x, lam)
+    def spy_y(p, params, x, lam, ax):
+        out = real_y(p, params, x, lam, ax=ax)
         calls.append(("y", x.copy(), lam.copy(), out.copy()))
         return out
 
-    def spy_x(p, params, x, y_new, lam, v):
-        out = real_x(p, params, x, y_new, lam, v)
+    def spy_x(p, params, x, y_new, lam, v, ax):
+        out = real_x(p, params, x, y_new, lam, v, ax=ax)
         calls.append(("x", x.copy(), y_new.copy(), lam.copy(), out.copy()))
         return out
 
-    def spy_dual(p, params, x_new, y_new, lam):
-        out = real_dual(p, params, x_new, y_new, lam)
+    def spy_dual(p, params, x_new, y_new, lam, ax):
+        out = real_dual(p, params, x_new, y_new, lam, ax=ax)
         calls.append(("dual", x_new.copy(), y_new.copy(), lam.copy(), out.copy()))
         return out
 
@@ -220,6 +220,30 @@ def test_divergence_carries_trace(fused):
     trace = exc_info.value.trace
     assert isinstance(trace, list) and len(trace) >= 1
     assert [rec.iter for rec in trace] == list(range(1, len(trace) + 1))
+
+
+def test_divergence_names_block_row_batch_and_step(fused):
+    # a huge step size with a ridge overflows x within a few dozen rows
+    import dataclasses
+
+    ridged = dataclasses.replace(fused, ridge=0.05)
+    bad = AdmmParams(beta=1.0, eta=1e10, r=1.0)
+    cfg = _config(ridged, "sadmm", params=bad, max_iters=2000, eval_stride=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as exc_info:
+            run(ridged, cfg)
+    exc = exc_info.value
+    finite = [r.stationarity for r in exc.trace if np.isfinite(r.stationarity)]
+    assert exc.block == "x"
+    assert exc.row == len(exc.trace) + 1
+    assert exc.batch_size == static_batch(cfg.sched)
+    assert exc.dx_sq == np.inf
+    assert finite and exc.last_stationarity == finite[-1]
+    message = str(exc)
+    assert f"non-finite iterate at iteration {exc.row}: block x" in message
+    assert f"batch size {exc.batch_size}" in message
+    assert "||dx||^2 = inf" in message
+    assert f"last finite stationarity {exc.last_stationarity:.6g}" in message
 
 
 def test_monitor_sees_every_step(fused):
@@ -386,3 +410,86 @@ def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, met
         assert rec.objective == objective(p, x)
         assert rec.stationarity == stationarity(p, SolverState(x=x, y=y, lam=lam)).total
     assert all(r.objective is None for r in trace if r.iter not in evals)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_constraint_matvec_per_row(make_dataset, monkeypatch, method):
+    from absadmm.problems import ConstraintSpec
+
+    p = build_fused_logistic(make_dataset(200, 5, seed=3), 0.02)
+    sched = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002)
+    log = []
+    real = ConstraintSpec.matvec
+
+    def matvec(self, x):
+        log.append("matvec")
+        return real(self, x)
+
+    monkeypatch.setattr(ConstraintSpec, "matvec", matvec)
+    # the stride never falls inside the run, so only the stopping row evaluates
+    cfg = _config(p, method, sched=sched, max_iters=12, b=3, T=5, q=4, eval_stride=1000)
+    run(p, cfg, step_monitor=lambda info: log.append(info.k + 1))
+    rows = [i for i, item in enumerate(log) if item != "matvec"]
+    assert [log[i] for i in rows] == list(range(1, 13))
+    starts = [-1] + rows[:-1]
+    assert [end - start - 1 for start, end in zip(starts, rows)] == [1] * 12
+
+
+# Objectives of deterministic full-gradient ADMM on the `fused` problem at
+# beta 1, eta 0.5; every method below reduces to it.
+FULL_BATCH_OBJECTIVES = (
+    0.6770500682423986,
+    0.6650678473630013,
+    0.6540544060047978,
+    0.6439251729792813,
+    0.6346003878055387,
+    0.6259875486659255,
+    0.6180276742959768,
+    0.6106532099292449,
+)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_whole_set_anchor_reuses_the_evaluation_gradient(fused, monkeypatch, method):
+    import dataclasses
+
+    import absadmm.problems as problems
+    from absadmm.kernel import stationarity
+
+    log = []  # whole-set slope passes, and the end of each evaluation
+    real_slopes = problems._loss_slopes
+
+    def slopes(loss, z):
+        if z.size == fused.n:
+            log.append("pass")
+        return real_slopes(loss, z)
+
+    def spy_stationarity(p_, w):
+        report = stationarity(p_, w)
+        log.append("eval")
+        return report
+
+    monkeypatch.setattr(problems, "_loss_slopes", slopes)
+    monkeypatch.setattr(solvers, "stationarity", spy_stationarity)
+    k, b = len(FULL_BATCH_OBJECTIVES), 3
+    cfg = _config(
+        fused, method, sched=_degenerate_sched(fused), max_iters=k, b=b, T=1, q=1, eval_stride=1
+    )
+    res = run(fused, cfg)
+    monkeypatch.undo()
+
+    assert all(r.batch_size == fused.n for r in res.trace)
+    # a row's work runs from the end of the previous evaluation to the end of its own
+    ends = [i for i, item in enumerate(log) if item == "eval"]
+    passes = [end - start - 1 for start, end in zip([-1] + ends[:-1], ends)]
+    assert passes == [2] + [1] * (k - 1)
+    # both ledgers are charged as if each side had made its own pass; svrg's
+    # inner step on b draws adds 2b per row
+    inner = 2 * b if method.startswith("svrg") else 0
+    assert res.state.tally.solver_calls == k * (fused.n + inner)
+    assert res.state.tally.eval_calls == k * fused.n
+    assert tuple(r.objective for r in res.trace) == FULL_BATCH_OBJECTIVES
+    # rows after an unevaluated row have no gradient to share and make their own pass
+    sparse = run(fused, dataclasses.replace(cfg, eval_stride=3)).trace
+    got = [r.objective for r in sparse if r.objective is not None]
+    assert got == [FULL_BATCH_OBJECTIVES[i] for i in (2, 5, 7)]
