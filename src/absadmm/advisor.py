@@ -8,14 +8,13 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ConstraintSpec, ProblemInstance
+from .problems import ProblemInstance
 
 __all__ = [
     "SadmmFeasibility",
     "VrPreset",
     "AdvisorReport",
     "estimate_L",
-    "spectral_bounds",
     "metric_eigenvalue_range",
     "sadmm_feasibility",
     "svrg_preset",
@@ -85,15 +84,6 @@ def estimate_L(p: ProblemInstance) -> float:
     row_sq = float(np.max(np.einsum("ij,ij->i", p.dataset.features, p.dataset.features)))
     curv = 0.25 if p.loss == "logistic" else _SIGMOID_CURV
     return curv * row_sq + p.ridge
-
-
-def spectral_bounds(constraint: ConstraintSpec):
-    """(varsigma, opnorm): smallest and largest eigenvalue of A^T A.
-
-    Both are exact and cached on the constraint, which also rejects a rank
-    deficient A when it is built.
-    """
-    return constraint.spectrum
 
 
 def metric_eigenvalue_range(beta: float, eta: float, r: float, varsigma: float, opnorm: float):
@@ -236,7 +226,7 @@ def advise(
     eta are supplied; the presets are always computed.
     """
     L = estimate_L(p)
-    varsigma, opnorm = spectral_bounds(p.constraint)
+    varsigma, opnorm = p.constraint.spectrum
     norm_A = math.sqrt(opnorm)
     norm_B = 1.0  # B = -I
     feas = None

@@ -14,14 +14,16 @@ class UnsupportedProblemError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a solver iterate becomes non-finite.
+    """Raised when a solver iterate or an evaluation becomes non-finite.
 
     Carries the trace collected up to (not including) the bad iteration and,
     when the solver raises it, where the run broke down: ``block`` is the
-    first non-finite block in update order ("y", "x" or "lam"), ``row`` the
-    1-based iteration, ``batch_size`` that row's scheduled draw, ``dx_sq`` its
-    squared step ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last
-    finite stationarity evaluated (None before there is one).
+    first non-finite block in update order ("y", "x" or "lam"), or
+    "stationarity" when the iterates are finite but the row's evaluated
+    objective or stationarity is not; ``row`` is the 1-based iteration,
+    ``batch_size`` that row's scheduled draw, ``dx_sq`` its squared step
+    ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last finite
+    stationarity evaluated (None before there is one).
     """
 
     def __init__(

@@ -3,10 +3,10 @@
 The grid is methods x repeats.  One base seed fixes everything: the split,
 the variance estimate, and one solver seed per repeat (shared across methods
 so static/adaptive pairs see the same randomness).  Given the same config and
-seed, every output byte is reproducible except wall-clock fields.
+seed, every output byte is reproducible except wall-clock fields.  The cells
+run one after another in this process.
 """
 
-import concurrent.futures
 import dataclasses
 import os
 import time
@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .advisor import estimate_L, spectral_bounds
+from .advisor import estimate_L
 from .datasets import load_libsvm
 from .errors import ConfigError, DivergenceError, ParseError
 from .estimators import estimate_sigma2
@@ -36,6 +36,16 @@ __all__ = [
     "emit_trace_csv",
     "parse_trace_csv",
 ]
+
+_TOP_KEYS = (
+    "dataset", "problem", "budget", "split", "seed", "repeats", "eval_stride", "sigma2", "methods"
+)
+_SECTION_KEYS = {
+    "dataset": ("path", "d_hint", "normalize"),
+    "problem": ("kind", "l1", "l2", "corr_threshold"),
+    "budget": ("max_iters", "oracle_budget", "target_epsilon"),
+    "split": ("enabled",),
+}
 
 _CSV_FIELDS = ("iter", "epoch", "batch_size", "oracle_calls", "objective", "stationarity", "time_ms")
 
@@ -65,7 +75,6 @@ class ExperimentConfig:
     methods: tuple
     seed: int = 0
     repeats: int = 5
-    workers: int = 1
     d_hint: Optional[int] = None
     normalize: bool = False
     split: bool = True
@@ -180,7 +189,14 @@ def _section(doc, key):
         val = {}
     if not isinstance(val, dict):
         raise ConfigError(f"config section {key!r} must be a mapping")
+    _reject_unknown(val, _SECTION_KEYS[key], key)
     return val
+
+
+def _reject_unknown(mapping, allowed, where):
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {sorted(unknown, key=str)}")
 
 
 def _int(value, key):
@@ -209,6 +225,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
+    # older configs say workers: 1, so that value still loads
+    workers = _int(doc.pop("workers", 1), "workers")
+    if workers != 1:
+        raise ConfigError(f"workers must be 1, got {workers!r}: the grid runs in one process")
+    _reject_unknown(doc, _TOP_KEYS, "config")
 
     ds = _section(doc, "dataset")
     prob = _section(doc, "problem")
@@ -227,9 +248,7 @@ def load_config(path) -> ExperimentConfig:
     for i, entry in enumerate(raw_methods):
         if not isinstance(entry, dict):
             raise ConfigError(f"methods[{i}] must be a mapping")
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ConfigError(f"methods[{i}] has unknown keys {sorted(unknown)}")
+        _reject_unknown(entry, allowed, f"methods[{i}]")
         name = _need(entry, "name", f"methods[{i}]")
         if name not in METHODS:
             raise ConfigError(f"methods[{i}].name {name!r} not one of {METHODS}")
@@ -265,7 +284,6 @@ def load_config(path) -> ExperimentConfig:
             methods=tuple(methods),
             seed=_int(doc.get("seed", 0), "seed"),
             repeats=_int(doc.get("repeats", 5), "repeats"),
-            workers=_int(doc.get("workers", 1), "workers"),
             max_iters=_int(_need(budget, "max_iters", "budget"), "budget.max_iters"),
             oracle_budget=_int(budget.get("oracle_budget"), "budget.oracle_budget"),
             target_epsilon=(
@@ -283,8 +301,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"dataset.d_hint must be at least 1, got {cfg.d_hint}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
     if cfg.max_iters < 0:
         raise ConfigError("budget.max_iters must be nonnegative")
     if not cfg.l1 >= 0.0:
@@ -382,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         x0 = np.zeros(train.d)
         sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
     L = estimate_L(problem)
-    varsigma, opnorm = spectral_bounds(problem.constraint)
+    varsigma, opnorm = problem.constraint.spectrum
 
     # build each method's solver config once, surfacing bad method parameters
     # as config errors before any cell runs
@@ -415,18 +431,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         except ValueError as exc:
             raise ConfigError(f"methods[{i}] ({method.name}): {exc}") from exc
 
-    cells = []
+    rows = []
     for solver_cfg in solver_cfgs:
         for rep in range(cfg.repeats):
             seeded = dataclasses.replace(solver_cfg, seed=_derive_seed(cfg.seed, 1, rep))
             trace_path = os.path.join(out_dir, f"trace_{solver_cfg.method}_rep{rep}.csv")
-            cells.append((problem, test_problem, seeded, rep, trace_path))
-
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_cell_star, cells))
-    else:
-        rows = [_run_cell(*cell) for cell in cells]
+            rows.append(_run_cell(problem, test_problem, seeded, rep, trace_path))
 
     aggregates = {}
     for method in cfg.methods:
@@ -456,7 +466,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     )
     summary.write_yaml(os.path.join(out_dir, "summary.yaml"))
     return summary
-
-
-def _run_cell_star(cell):
-    return _run_cell(*cell)

@@ -24,7 +24,6 @@ __all__ = [
     "batch_mean_grad",
     "batch_mean_grads",
     "full_gradient",
-    "smooth_value",
     "smooth_value_and_gradient",
     "objective",
     "penalty_value",
@@ -202,11 +201,6 @@ def full_gradient(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return _mean_grad(p, x, ds.features, ds.labels, ds.labels * (ds.features @ x))
 
 
-def smooth_value(p: ProblemInstance, x: np.ndarray) -> float:
-    """Value of the smooth part f(x) = mean_i loss_i(x) + ridge/2 ||x||^2."""
-    return _mean_value(p, x, p.dataset.labels * (p.dataset.features @ x))
-
-
 def smooth_value_and_gradient(p: ProblemInstance, x: np.ndarray):
     """f(x) and its exact gradient from one pass over the data: X @ x is formed once."""
     ds = p.dataset
@@ -220,8 +214,9 @@ def penalty_value(g: NonsmoothSpec, y: np.ndarray) -> float:
 
 
 def objective(p: ProblemInstance, x: np.ndarray) -> float:
-    """Composite objective f(x) + g(Ax)."""
-    return smooth_value(p, x) + penalty_value(p.g, p.constraint.matvec(x))
+    """Composite objective f(x) + g(Ax), with f(x) = mean_i loss_i(x) + ridge/2 ||x||^2."""
+    f = _mean_value(p, x, p.dataset.labels * (p.dataset.features @ x))
+    return f + penalty_value(p.g, p.constraint.matvec(x))
 
 
 def prox_g(v: np.ndarray, t: float, g: NonsmoothSpec) -> np.ndarray:

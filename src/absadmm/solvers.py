@@ -204,9 +204,10 @@ class _Loop:
         x_new = x_step(p, cfg.admm, state.x, y_new, state.lam, v, ax=self.ax)
         ax_new = p.constraint.matvec(x_new)
         lam_new = dual_step(p, cfg.admm, x_new, y_new, state.lam, ax=ax_new)
+        row = state.k + 1
         for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
             if not np.isfinite(arr).all():
-                self._diverged(block, batch_col, x_new)
+                self._diverged(block, row, batch_col, state.x, x_new)
         if self.monitor is not None:
             self.monitor(
                 StepInfo(
@@ -218,12 +219,11 @@ class _Loop:
                     lam_new=lam_new,
                 )
             )
-        dx = x_new - state.x
+        x_old = state.x
         state.x, state.y, state.lam = x_new, y_new, lam_new
-        state.k += 1
+        state.k = row
         self.ax, self.full_grad = ax_new, None
 
-        row = state.k
         over_budget = (
             cfg.oracle_budget is not None and state.tally.solver_calls >= cfg.oracle_budget
         )
@@ -233,9 +233,10 @@ class _Loop:
             report = stationarity(p, state)
             state.tally.eval_calls += p.n
             obj, stat_total = report.objective, report.total
+            if not (np.isfinite(obj) and np.isfinite(stat_total)):
+                self._diverged("stationarity", row, batch_col, x_old, x_new)
             self.full_grad = report.grad
-            if np.isfinite(stat_total):
-                self.last_stationarity = stat_total
+            self.last_stationarity = stat_total
             if self.test_objective is not None:
                 test_val = self.test_objective(state.x)
         self.trace.append(
@@ -255,16 +256,18 @@ class _Loop:
             and stat_total is not None
             and stat_total <= cfg.target_epsilon
         )
+        dx = x_new - x_old
         return float(dx @ dx)
 
-    def _diverged(self, block: str, batch_size: int, x_new):
+    def _diverged(self, block: str, row: int, batch_size: int, x_old, x_new):
         with np.errstate(all="ignore"):
-            dx = x_new - self.state.x
+            dx = x_new - x_old
             dx_sq = float(dx @ dx)
-        row, last = self.state.k + 1, self.last_stationarity
+        last = self.last_stationarity
         last_text = "none" if last is None else f"{last:.6g}"
+        what = "evaluation" if block == "stationarity" else "iterate"
         raise DivergenceError(
-            f"non-finite iterate at iteration {row}: block {block} "
+            f"non-finite {what} at iteration {row}: block {block} "
             f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
             f"last finite stationarity {last_text})",
             trace=self.trace,

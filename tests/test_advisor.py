@@ -9,7 +9,6 @@ from absadmm.advisor import (
     estimate_L,
     metric_eigenvalue_range,
     sadmm_feasibility,
-    spectral_bounds,
     spider_preset,
     svrg_preset,
 )
@@ -34,7 +33,7 @@ def test_estimate_L_sigmoid_with_ridge(rownorm4):
 
 
 def test_spectral_bounds_difference_matrix():
-    lo, hi = spectral_bounds(build_difference_matrix(2))
+    lo, hi = build_difference_matrix(2).spectrum
     assert lo == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-14)
     assert hi == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
 
@@ -44,14 +43,14 @@ def test_spectral_bounds_matches_dense_eigh():
     A = rng.normal(size=(12, 7))
     eigs = np.linalg.eigvalsh(A.T @ A)
     rows, cols = np.indices(A.shape).reshape(2, -1)
-    lo, hi = spectral_bounds(ConstraintSpec(rows, cols, A.ravel(), 12, 7))
+    lo, hi = ConstraintSpec(rows, cols, A.ravel(), 12, 7).spectrum
     assert lo == pytest.approx(eigs[0], rel=1e-10)
     assert hi == pytest.approx(eigs[-1], rel=1e-10)
 
 
 def test_spectral_bounds_rank_deficient():
     with pytest.raises(ValueError, match="rank deficient"):
-        spectral_bounds(ConstraintSpec([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2))
+        ConstraintSpec([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
 
 
 def test_metric_range_default_r_floor():
@@ -190,7 +189,7 @@ def test_unit_spectrum_presets_verify():
 def test_spread_spectrum_presets_flagged():
     # with spread eigenvalues the zeta-dependent bounds outgrow any finite
     # fixed point, which the verify flag reports
-    lo, hi = spectral_bounds(build_difference_matrix(2))
+    lo, hi = build_difference_matrix(2).spectrum
     for preset in (svrg_preset, spider_preset):
         p = preset(100, 1.0, math.sqrt(hi), 1.0, lo, hi)
         assert not p.bounds_ok

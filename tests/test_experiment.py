@@ -67,7 +67,7 @@ def test_load_config_happy(config_file):
     cfg = load_config(config_file())
     assert cfg.problem_kind == "fused_logistic"
     assert cfg.l1 == 0.05
-    assert cfg.repeats == 2 and cfg.seed == 3 and cfg.workers == 1
+    assert cfg.repeats == 2 and cfg.seed == 3
     assert cfg.max_iters == 8 and cfg.oracle_budget is None
     assert cfg.corr_threshold == 0.7  # default
     assert len(cfg.methods) == 2
@@ -121,7 +121,7 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
         (lambda d: d["split"].update(enabled="no"), "split.enabled"),
         (lambda d: d.update(repeats=2.7), "repeats"),
         (lambda d: d.update(repeats=True), "repeats"),
-        (lambda d: d.update(workers=1.5), "workers"),
+        (lambda d: d.update(workers=2), "workers"),
         (lambda d: d["budget"].update(max_iters=8.5), "budget.max_iters"),
         (lambda d: d["budget"].update(oracle_budget=100.5), "budget.oracle_budget"),
         (lambda d: d.update(eval_stride=2.5), "eval_stride"),
@@ -129,6 +129,14 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
         (lambda d: d["methods"][0].update(b=2.5), r"methods\[0\]: b"),
         (lambda d: d["methods"][1].update(T=1.5), r"methods\[1\]: T"),
         (lambda d: d["methods"][1].update(q=3.3), r"methods\[1\]: q"),
+        (lambda d: d.update(repeat=3), r"config has unknown keys \['repeat'\]"),
+        (lambda d: d["dataset"].update(normlize=True), r"dataset has unknown keys \['normlize'\]"),
+        (lambda d: d["problem"].update(l3=0.1), r"problem has unknown keys \['l3'\]"),
+        (
+            lambda d: d["budget"].update(target_epsilom=0.1),
+            r"budget has unknown keys \['target_epsilom'\]",
+        ),
+        (lambda d: d["split"].update(enable=False), r"split has unknown keys \['enable'\]"),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, data_file, capsys, mutate, msg):
@@ -283,15 +291,6 @@ def test_seed_changes_stochastic_runs(tmp_path, config_file):
     assert any(diffs)
 
 
-def test_workers_match_serial(tmp_path, config_file):
-    cfg = load_config(config_file())
-    out_a, out_b = tmp_path / "serial", tmp_path / "pool"
-    run_experiment(cfg, str(out_a))
-    run_experiment(dataclasses.replace(cfg, workers=2), str(out_b))
-    for fa in sorted(out_a.glob("trace_*.csv")):
-        assert _rows_excluding_time(fa) == _rows_excluding_time(out_b / fa.name)
-
-
 def test_bad_method_params_fail_before_running(tmp_path, config_file):
     path = config_file(
         methods=[{"name": "sadmm", "beta": -1.0, "eta": 0.5}]
@@ -364,6 +363,14 @@ def test_cli_run_happy(tmp_path, config_file, capsys):
     assert main(["run", "--config", config_file(), "--out", str(out)]) == 0
     assert "4/4 runs finished" in capsys.readouterr().out
     assert (out / "summary.yaml").exists()
+
+
+@pytest.mark.parametrize("workers,code", [(1, 0), (2, 2)])
+def test_cli_run_workers_only_one(tmp_path, config_file, capsys, workers, code):
+    # the grid runs in one process: workers: 1 still loads, any other value is an error
+    path = config_file(workers=workers)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert ("config error" in capsys.readouterr().err) == (code == 2)
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

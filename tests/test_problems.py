@@ -17,7 +17,6 @@ from absadmm.problems import (
     objective,
     penalty_value,
     prox_g,
-    smooth_value,
 )
 
 
@@ -58,12 +57,12 @@ def test_pointwise_loss_values_frozen():
     # single sample a=[1], b=+1, x=[0.5] gives margin z=0.5
     ds = Dataset(np.array([[1.0]]), np.array([1.0]))
     x = np.array([0.5])
-    p_log = build_fused_logistic(ds, 0.0)
-    assert smooth_value(p_log, x) == pytest.approx(0.4740769841801067, abs=1e-15)
+    p_log = build_fused_logistic(ds, 0.0)  # l1 weight 0: the objective is the loss alone
+    assert objective(p_log, x) == pytest.approx(0.4740769841801067, abs=1e-15)
     assert batch_mean_grad(p_log, x, [0])[0] == pytest.approx(-0.3775406687981454, abs=1e-15)
     cs = _identity(1)
     p_sig = ProblemInstance(ds, "sigmoid", 0.0, cs, NonsmoothSpec(0.0))
-    assert smooth_value(p_sig, x) == pytest.approx(0.3775406687981454, abs=1e-15)
+    assert objective(p_sig, x) == pytest.approx(0.3775406687981454, abs=1e-15)
     assert batch_mean_grad(p_sig, x, [0])[0] == pytest.approx(-0.2350037122015945, abs=1e-15)
 
 
@@ -73,7 +72,7 @@ def test_extreme_margins_do_not_overflow():
     for loss in ("logistic", "sigmoid"):
         p = ProblemInstance(ds, loss, 0.0, cs, NonsmoothSpec(0.0))
         x = np.array([1.0])
-        assert np.isfinite(smooth_value(p, x))
+        assert np.isfinite(objective(p, x))
         assert np.all(np.isfinite(full_gradient(p, x)))
     # saturated logistic slope is -1 up to clamp error below 1e-15
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))

@@ -215,35 +215,63 @@ def test_divergence_carries_trace(fused):
     bad = AdmmParams(beta=5.0, eta=5.0, r=0.05)
     cfg = _config(ridged, "sadmm", params=bad, max_iters=2000)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="non-finite iterate") as exc_info:
+        with pytest.raises(DivergenceError, match="non-finite") as exc_info:
             run(ridged, cfg)
     trace = exc_info.value.trace
     assert isinstance(trace, list) and len(trace) >= 1
     assert [rec.iter for rec in trace] == list(range(1, len(trace) + 1))
+    evaluated = [(r.objective, r.stationarity) for r in trace if r.stationarity is not None]
+    assert evaluated and np.isfinite(evaluated).all()
 
 
 def test_divergence_names_block_row_batch_and_step(fused):
-    # a huge step size with a ridge overflows x within a few dozen rows
+    # a huge step size with a ridge overflows x within a few dozen rows; the
+    # objective overflows about halfway there, so an evaluation on every row
+    # stops the run at the stationarity block, and none before the end lets
+    # it reach x
     import dataclasses
 
     ridged = dataclasses.replace(fused, ridge=0.05)
     bad = AdmmParams(beta=1.0, eta=1e10, r=1.0)
-    cfg = _config(ridged, "sadmm", params=bad, max_iters=2000, eval_stride=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as exc_info:
-            run(ridged, cfg)
-    exc = exc_info.value
-    finite = [r.stationarity for r in exc.trace if np.isfinite(r.stationarity)]
-    assert exc.block == "x"
-    assert exc.row == len(exc.trace) + 1
-    assert exc.batch_size == static_batch(cfg.sched)
-    assert exc.dx_sq == np.inf
-    assert finite and exc.last_stationarity == finite[-1]
-    message = str(exc)
-    assert f"non-finite iterate at iteration {exc.row}: block x" in message
-    assert f"batch size {exc.batch_size}" in message
-    assert "||dx||^2 = inf" in message
-    assert f"last finite stationarity {exc.last_stationarity:.6g}" in message
+    cases = [(1, "stationarity", "evaluation"), (2000, "x", "iterate")]
+    for eval_stride, block, what in cases:
+        cfg = _config(ridged, "sadmm", params=bad, max_iters=2000, eval_stride=eval_stride)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc_info:
+                run(ridged, cfg)
+        exc = exc_info.value
+        evaluated = [r.stationarity for r in exc.trace if r.stationarity is not None]
+        assert exc.block == block
+        assert exc.row == len(exc.trace) + 1
+        assert exc.batch_size == static_batch(cfg.sched)
+        assert exc.dx_sq == np.inf
+        assert exc.last_stationarity == (evaluated[-1] if evaluated else None)
+        assert np.isfinite(evaluated).all() and bool(evaluated) == (eval_stride == 1)
+        message = str(exc)
+        assert f"non-finite {what} at iteration {exc.row}: block {block}" in message
+        assert f"batch size {exc.batch_size}" in message
+        assert "||dx||^2 = inf" in message
+        last_text = "none" if exc.last_stationarity is None else f"{exc.last_stationarity:.6g}"
+        assert f"last finite stationarity {last_text}" in message
+
+
+def test_non_finite_stationarity_stops_the_run(fused):
+    # the iterates stay finite for hundreds of rows after the objective has
+    # overflowed (first inf evaluation at row 254, first inf iterate at row
+    # 511), so a cap of 300 must end the run as diverged, as a cap of 1000 does
+    import dataclasses
+
+    ridged = dataclasses.replace(fused, ridge=0.05)
+    bad = AdmmParams(beta=1.0, eta=100.0, r=1.0)
+    for max_iters in (300, 1000):
+        cfg = _config(ridged, "sadmm", params=bad, max_iters=max_iters, eval_stride=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite evaluation") as exc_info:
+                run(ridged, cfg)
+        exc = exc_info.value
+        assert (exc.block, exc.row, len(exc.trace)) == ("stationarity", 254, 253)
+        assert exc.last_stationarity == exc.trace[-1].stationarity
+        assert np.isfinite(exc.last_stationarity) and np.isfinite(exc.dx_sq)
 
 
 def test_monitor_sees_every_step(fused):
