@@ -14,7 +14,7 @@ import sys
 import yaml
 
 from .advisor import advise
-from .datasets import load_libsvm
+from .datasets import d_hint_fault, load_libsvm
 from .errors import ConfigError, ParseError
 from .experiment import load_config, run_experiment
 from .problems import build_fused_logistic, build_graph_guided
@@ -26,14 +26,15 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _at_least_one(text):
-    """An argparse type: an integer of at least 1."""
+def _d_hint(text):
+    """An argparse type: an integer that can be a feature count."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    fault = d_hint_fault(value)
+    if fault:
+        raise argparse.ArgumentTypeError(fault)
     return value
 
 
@@ -57,7 +58,7 @@ def _build_parser():
     advp.add_argument(
         "--problem", required=True, choices=["fused_logistic", "graph_guided"]
     )
-    advp.add_argument("--d-hint", type=_at_least_one, default=None)
+    advp.add_argument("--d-hint", type=_d_hint, default=None)
     advp.add_argument("--l1", type=float, default=1e-3, help="nonsmooth penalty weight")
     advp.add_argument("--l2", type=float, default=0.0, help="ridge weight (graph_guided)")
     advp.add_argument("--corr-threshold", type=float, default=0.7)

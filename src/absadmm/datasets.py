@@ -3,11 +3,13 @@
 import gzip
 import io
 import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, SplitError
 
 __all__ = [
     "Dataset",
@@ -16,6 +18,7 @@ __all__ = [
     "load_libsvm",
     "dump_libsvm",
     "split_half",
+    "d_hint_fault",
     "scale_max_abs",
 ]
 
@@ -70,10 +73,20 @@ class SplitPair:
 
 # Text is parsed in blocks of whole lines of about this many bytes, so that
 # the temporaries of a parse, some 15 to 30 bytes per byte of text, are bounded
-# by the block and not by the file.  Blocks from 256 KiB to 1 MiB parse the
-# bench files within 5% of each other, 128 KiB ones about 12% slower and
-# 64 KiB ones up to 75% slower; smaller ones need less memory.
+# by the blocks in flight and not by the file.  Loading the bench files in
+# fresh processes on two CPUs (20 alternating pairs per file and size),
+# 128 KiB blocks were 9 to 21% slower than 256 KiB ones on the a9a-shaped
+# 2.4 MB file and 10 to 24% on the dense 13 MB one, losing 15 and 17 pairs,
+# for about 2 MiB less peak memory.  512 KiB blocks won 10 and 15 pairs for
+# 3 to 7 MiB more.
 _BLOCK_BYTES = 1 << 18
+
+# Blocks are parsed on this many threads, at most this many at a time, while
+# the calling thread reads the next one; numpy releases the interpreter lock
+# in most of its array operations.  Two workers cut fresh-process loads of the
+# bench files on two CPUs by 14% (2.4 MB) and 28% (13 MB); pinned to one CPU,
+# the same loads took 12 to 14% longer than parsing on the calling thread.
+_WORKERS = 2
 
 # Columns are stored as int32 until the dense matrix is filled.
 _MAX_INDEX = 2**31 - 1
@@ -290,11 +303,15 @@ def _numbers(words, byte, where, seq, head, nxt, end):
     return nums
 
 
-def _parse_block(buf, line0, d_hint):
-    """Parse one block of whole lines that follows ``line0`` lines.
+class _BadToken(Exception):
+    """The first offending token of a block: its code, its 1-based line in the block, its bytes."""
+
+
+def _parse_block(buf, d_hint):
+    """Parse one block of whole lines.
 
     Returns ``(labels, pairs per row, 0-based columns, values, line breaks)``.
-    Raises ``ParseError`` naming the first offending line of the block.
+    Raises ``_BadToken`` for the first offending token of the block.
     """
     # The block padded on each side; byte p of the block is byte p + pad.
     padded = _PAD + buf + _PAD
@@ -390,8 +407,7 @@ def _parse_block(buf, line0, d_hint):
     if failed.size:
         k = failed[0]
         token = buf[starts[k] - pad : ends[k] - pad]
-        line = line0 + int(np.searchsorted(breaks, starts[k])) + 1
-        raise ParseError(_message(code[k], line, token, d_hint))
+        raise _BadToken(code[k], int(np.searchsorted(breaks, starts[k])) + 1, token)
 
     row_pairs = np.diff(np.append(labels_at, starts.size)) - 1
     labels = np.where(y > 0, 1.0, -1.0)
@@ -440,16 +456,49 @@ def _line_blocks(stream):
         yield tail
 
 
+def d_hint_fault(d_hint):
+    """Why ``d_hint`` cannot be a feature count, or None when it can.
+
+    A feature count is at least 1 and at most the largest index the parser
+    accepts, 2**31 - 1; None, no hint, passes.
+    """
+    if d_hint is None:
+        return None
+    if d_hint < 1:
+        return f"must be at least 1, got {d_hint}"
+    if d_hint > _MAX_INDEX:
+        return f"must be at most the largest supported index {_MAX_INDEX}, got {d_hint}"
+    return None
+
+
 def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     """Parse into one dense buffer; see ``load_libsvm`` for the keywords."""
-    if d_hint is not None and d_hint < 1:
-        raise ValueError(f"d_hint must be at least 1, got {d_hint}")
+    fault = d_hint_fault(d_hint)
+    if fault:
+        raise ValueError(f"d_hint {fault}")
     blocks = []
     lines = 0
-    for buf in _line_blocks(stream):
-        *parsed, breaks = _parse_block(buf, lines, d_hint)
+
+    def collect(future):
+        nonlocal lines
+        try:
+            *parsed, breaks = future.result()
+        except _BadToken as bad:
+            code, line, token = bad.args
+            raise ParseError(_message(code, lines + line, token, d_hint)) from None
         blocks.append(parsed)
         lines += breaks
+
+    # Blocks are collected in file order, so the first bad line of the file is
+    # the one reported.
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        jobs = deque()
+        for buf in _line_blocks(stream):
+            if len(jobs) == _WORKERS:
+                collect(jobs.popleft())
+            jobs.append(pool.submit(_parse_block, buf, d_hint))
+        while jobs:
+            collect(jobs.popleft())
     n = sum(labels.size for labels, _, _, _ in blocks)
     if n == 0:
         raise ParseError("no data lines found")
@@ -486,9 +535,10 @@ def parse_libsvm(text, d_hint=None) -> Dataset:
     ASCII decimal indices and finite values (see the README's "Data format").
     Labels are canonicalized: nonpositive maps to -1, positive to +1.
     The feature count is the largest index observed, or ``d_hint`` when given
-    (an index beyond ``d_hint`` is a parse error; a ``d_hint`` below 1 raises
-    ``ValueError``).  Every violation raises ``ParseError`` naming the first
-    offending line.  Numbers convert bitwise as Python's ``float`` does.
+    (an index beyond ``d_hint`` is a parse error; a ``d_hint`` below 1 or
+    above 2**31 - 1, the largest supported index, raises ``ValueError``).
+    Every violation raises ``ParseError`` naming the first offending line.
+    Numbers convert bitwise as Python's ``float`` does.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
@@ -503,8 +553,8 @@ def load_libsvm(path, d_hint=None, *, normalize=False, split_seed=None):
     bitwise, while holding one dense matrix: with ``normalize`` the columns
     are scaled in place, and with a ``split_seed`` the rows are filled in split
     order and a ``SplitPair`` of row views is returned.  A split of one row
-    raises ``ValueError`` as ``split_half`` does.  A truncated or corrupt
-    ``.gz`` file is a ``ParseError`` naming the file.
+    raises ``SplitError``, a ``ValueError``, as ``split_half`` does.  A
+    truncated or corrupt ``.gz`` file is a ``ParseError`` naming the file.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
@@ -529,7 +579,7 @@ def dump_libsvm(ds: Dataset) -> str:
 def _split_order(n, seed):
     """The split rule: a seeded permutation of n rows, of which train takes the first ceil(n/2)."""
     if n < 2:
-        raise ValueError("need at least 2 samples to split")
+        raise SplitError("need at least 2 samples to split")
     return np.random.default_rng(seed).permutation(n), (n + 1) // 2
 
 

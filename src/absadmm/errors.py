@@ -9,6 +9,10 @@ class ConfigError(ValueError):
     """Raised when an experiment configuration is invalid."""
 
 
+class SplitError(ValueError):
+    """Raised when a train/test split is asked of fewer than two rows."""
+
+
 class UnsupportedProblemError(ValueError):
     """Raised when a problem falls outside the supported constraint/penalty forms."""
 

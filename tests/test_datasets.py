@@ -51,6 +51,17 @@ def test_d_hint_below_one_is_a_value_error(tmp_path, d_hint):
         assert not isinstance(exc.value, ParseError)
 
 
+@pytest.mark.parametrize("d_hint", [2**31, 10**21])
+def test_d_hint_above_the_largest_index_is_a_value_error(tmp_path, d_hint):
+    path = tmp_path / "toy.txt"
+    path.write_text("1 1:1\n")
+    want = f"d_hint must be at most the largest supported index 2147483647, got {d_hint}"
+    for parse, source in ((parse_libsvm, "1 1:1\n"), (load_libsvm, path)):
+        with pytest.raises(ValueError, match=want) as exc:
+            parse(source, d_hint=d_hint)
+        assert not isinstance(exc.value, ParseError)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 2.*duplicate"):
         parse_libsvm("1 1:1\n-1 2:1 2:3\n")

@@ -80,11 +80,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "nope.yaml"))
 
 
-def test_load_config_bad_yaml(tmp_path):
+def test_load_config_bad_yaml(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("methods: [unclosed\n")
     with pytest.raises(ConfigError, match="cannot parse config"):
         load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot parse config {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -185,6 +187,15 @@ def test_run_experiment_artifacts(tmp_path, config_file):
         "version", "sigma2", "L", "varsigma", "opnorm", "n_train", "n_test", "runs", "aggregates"
     ]
     assert list(loaded["runs"][0]) == [f.name for f in dataclasses.fields(experiment.RunRow)]
+
+
+def test_summary_yaml_bytes_are_those_of_safe_dump(tmp_path, config_file):
+    """Whichever emitter PyYAML has, summary.yaml reads as ``yaml.safe_dump`` writes it."""
+    out = tmp_path / "out"
+    summary = run_experiment(load_config(config_file()), str(out))
+    payload = {("runs" if k == "rows" else k): v for k, v in dataclasses.asdict(summary).items()}
+    want = yaml.safe_dump(payload, sort_keys=False)
+    assert (out / "summary.yaml").read_text() == want
 
 
 def test_trace_has_test_objective_only_with_split(tmp_path, config_file):
@@ -458,6 +469,35 @@ def test_cli_run_d_hint_below_one_is_config_error(tmp_path, data_file, capsys, d
     err = capsys.readouterr().err
     assert err.startswith(f"config error: dataset.d_hint must be at least 1, got {d_hint}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d_hint", [2**31, 10**21])
+def test_cli_run_d_hint_above_the_largest_index_is_config_error(tmp_path, capsys, d_hint):
+    """The error names ``dataset.d_hint``, not the split's row count."""
+    path = tmp_path / "four.txt"
+    path.write_text("1 1:0.5\n-1 2:1\n1 1:-1 2:2\n-1 1:3\n")
+    doc = _config_doc(str(path))
+    doc["dataset"]["d_hint"] = d_hint
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: dataset.d_hint must be at most the largest supported index 2147483647, "
+        f"got {d_hint}"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_hint", ["2147483648", "1000000000000000000000"])
+def test_cli_advise_d_hint_above_the_largest_index_is_usage_error(data_file, capsys, d_hint):
+    argv = ["advise", "--dataset", data_file, "--problem", "fused_logistic", "--d-hint", d_hint]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    want = f"must be at most the largest supported index 2147483647, got {d_hint}"
+    assert f"argument --d-hint: {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d_hint", ["0", "-3"])

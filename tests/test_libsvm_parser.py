@@ -1,9 +1,12 @@
 """The block parser against the token-at-a-time reference, its grammar and its memory."""
 
 import gzip
+import io
 import itertools
 import math
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -324,6 +327,74 @@ def test_gzip_is_read_as_bytes(tmp_path):
     with gzip.open(path, "wb") as fh:
         fh.write(b"1 1:1 2:2\r\n-1 2:1\r\n")
     assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, b"1 1:1 2:2\n-1 2:1\n")
+
+
+# -- blocks parsed on worker threads --------------------------------------------------
+
+_LINE = b"+1 1:0.5 2:-1\n"
+
+
+def _blocks_of(text):
+    """The line numbers after which each block of ``text`` starts."""
+    starts, lines = [], 0
+    for buf in datasets._line_blocks(io.BytesIO(text)):
+        starts.append(lines)
+        lines += buf.count(b"\n")
+    return starts
+
+
+def test_earlier_of_two_bad_blocks_is_reported(monkeypatch):
+    """The block with the earlier bad line finishes last and is still the one reported."""
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 128)
+    lines = [_LINE] * 200
+    starts = _blocks_of(b"".join(lines))
+    assert len(starts) > 10
+    # two lines of the same length as the others, in adjacent blocks
+    lines[starts[5] + 1] = b"+1 1:xxx 2:-1\n"
+    lines[starts[6] + 1] = b"-1 2:0.5 1:-1\n"
+    text = b"".join(lines)
+    assert _blocks_of(text) == starts
+
+    parse_block = datasets._parse_block
+
+    def slow_earlier(buf, d_hint):
+        if b"1:xxx" in buf:
+            time.sleep(0.1)  # sleeping releases the lock: the later block fails first
+        return parse_block(buf, d_hint)
+
+    monkeypatch.setattr(datasets, "_parse_block", slow_earlier)
+    want = _outcome(reference_parse, text)
+    assert want == f"line {starts[5] + 2}: malformed pair '1:xxx'"
+    assert _outcome(parse_libsvm, text) == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"+1 1:x\n", b"-1 2:1 2:1\n", b"1 3:1\n", b"x\n"],
+    ids=["malformed", "duplicate", "above", "label"],
+)
+def test_bad_line_in_a_later_block_names_its_line_in_the_file(monkeypatch, bad):
+    lines = [_LINE] * 300
+    lines[250] = bad
+    text = b"\n" + b"".join(lines)  # a blank first line: data line k is line k + 1
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
+    assert np.searchsorted(_blocks_of(text), 251) > 20
+    want = _outcome(reference_parse, text, d_hint=2)
+    assert want.startswith("line 252: ")
+    assert _outcome(parse_libsvm, text, d_hint=2) == want
+
+
+def test_no_worker_outlives_a_load(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_bytes(_LINE * 500)
+    bad.write_bytes(_LINE * 250 + b"+1 1:x\n" + _LINE * 250)
+    before = threading.active_count()
+    assert load_libsvm(good).n == 500
+    assert threading.active_count() == before
+    with pytest.raises(ParseError, match="line 251: malformed pair"):
+        load_libsvm(bad)
+    assert threading.active_count() == before
 
 
 # -- memory ------------------------------------------------------------------------------
