@@ -309,6 +309,14 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("repeats must be at least 1")
     if cfg.max_iters < 0:
         raise ConfigError("budget.max_iters must be nonnegative")
+    if cfg.oracle_budget is not None and cfg.oracle_budget < 1:
+        raise ConfigError("budget.oracle_budget must be positive when set")
+    if cfg.target_epsilon is not None and not cfg.target_epsilon > 0.0:
+        raise ConfigError("budget.target_epsilon must be positive when set")
+    if cfg.eval_stride is not None and cfg.eval_stride < 1:
+        raise ConfigError("eval_stride must be at least 1 when set")
+    if cfg.sigma2 is not None and not cfg.sigma2 >= 0.0:
+        raise ConfigError("sigma2 must be nonnegative when set")
     if not cfg.l1 >= 0.0:
         raise ConfigError("problem.l1 must be nonnegative")
     if not cfg.l2 >= 0.0:

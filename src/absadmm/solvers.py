@@ -7,12 +7,13 @@ Each method is an estimator kind plus an anchor window:
   spider_admm    window q   recursive gradient, refreshed at every anchor
 
 At the head of every window the loop draws an anchor batch without
-replacement and hands it to the estimator; the ``_adaptive`` flavors size it
-from the mean squared step of the previous window (for sadmm, the last step),
-the static ones at the cap.  Inner steps draw ``b`` indices with replacement
-from an independent stream, so static and adaptive runs with the same seed
-see the same inner randomness.  Every iteration applies the kernel updates in
-the fixed order y -> x -> dual.
+replacement and hands it to the estimator.  One rule, ``adaptive_batch``,
+sizes every anchor: the ``_adaptive`` flavors pass it the mean squared step
+of the previous window (for sadmm, the last step) as tau, and the static ones
+pass tau = 0, which leaves the cap.  Inner steps draw ``b`` indices with
+replacement from an independent stream, so static and adaptive runs with the
+same seed see the same inner randomness.  Every iteration applies the kernel
+updates in the fixed order y -> x -> dual.
 
 Only evaluation rows touch the whole data set: one pass there gives the
 objective and the stationarity residual together.  Every other row costs its
@@ -42,13 +43,7 @@ from .estimators import (
 )
 from .kernel import AdmmParams, SolverState, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
-from .schedulers import (
-    SchedulerParams,
-    TauAccumulator,
-    adaptive_batch,
-    static_batch,
-    tau_update,
-)
+from .schedulers import SchedulerParams, adaptive_batch
 
 __all__ = [
     "METHODS",
@@ -307,12 +302,15 @@ def run(
     est = kind(p)
     rng_anchor, rng_inner = _streams(cfg.seed)
     sp = cfg.sched
-    # sadmm's first decision reads 0.0 (no step yet), so it takes the cap
-    acc = TauAccumulator(divisor=window, value_for_next_epoch=sp.tau_init if window_field else 0.0)
+    # tau is the mean squared step of the last closed window, window_sum that
+    # of the open one; sadmm's first decision reads 0.0 (no step yet), so it
+    # takes the cap, and the static methods read 0.0 at every anchor
+    tau = sp.tau_init if window_field else 0.0
+    window_sum = 0.0
     for k in range(cfg.max_iters):
         v, batch_col = None, cfg.b
         if k % window == 0:
-            N = adaptive_batch(sp, acc.value_for_next_epoch) if adaptive else static_batch(sp)
+            N = adaptive_batch(sp, tau if adaptive else 0.0)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
             v = est.anchor(state.x, anchor, state.tally, loop.full_grad)
             batch_col = N
@@ -320,10 +318,9 @@ def run(
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
             v = est.step(state.x, batch, state.tally)
         epoch_col = k // window + 1 if window_field else 0
-        diff_sq = loop.step(v, batch_col=batch_col, epoch_col=epoch_col)
-        tau_update(acc, diff_sq)
+        window_sum += loop.step(v, batch_col=batch_col, epoch_col=epoch_col) / window
         if (k + 1) % window == 0:
-            acc.roll_epoch()
+            tau, window_sum = window_sum, 0.0
         if loop.stop:
             break
     return loop.result()

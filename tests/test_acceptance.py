@@ -31,7 +31,7 @@ from absadmm.problems import (
     prox_g,
     smooth_value_and_gradient,
 )
-from absadmm.schedulers import SchedulerParams, static_batch
+from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, SolverConfig, run
 from kernel_reference import metric_apply
 
@@ -202,7 +202,7 @@ def test_adaptive_batches_stay_within_static_budget():
     cfg = SolverConfig(method="sadmm_adaptive", admm=params, sched=sched, max_iters=K, seed=0)
     res = run(p, cfg)
     adaptive_total = res.trace[-1].oracle_calls
-    static_total = K * static_batch(sched)
+    static_total = K * adaptive_batch(sched, 0.0)
     assert adaptive_total <= static_total
     ratio = adaptive_total / static_total
     assert ratio <= 0.6

@@ -33,6 +33,33 @@ def test_wrapped_modules_import(bench):
         importlib.import_module(module)
 
 
+# Wrapped names that no longer exist.  The tracer skips a missing name and
+# only lists it under ``absent``, so its layer figures read 0 and no bench run
+# fails; a change that removes or renames a wrapped binding must add it here.
+ABSENT_WRAPS = {
+    "absadmm.experiment.spectral_bounds",
+    "absadmm.experiment.split_half",
+    "absadmm.kernel.power_opnorm",
+    "absadmm.linalg.power_opnorm",
+    "absadmm.solvers.abs_sadmm_batch",
+    "absadmm.solvers.abs_vr_batch",
+    "absadmm.solvers.minibatch_grad",
+    "absadmm.solvers.objective",
+    "absadmm.solvers.spider_grad",
+    "absadmm.solvers.static_batch",
+    "absadmm.solvers.svrg_grad",
+}
+
+
+def test_absent_wraps_are_pinned(bench):
+    missing = {
+        f"{module}.{attr}"
+        for module, attr, _, _ in bench["experiment_proc"].WRAPS
+        if getattr(importlib.import_module(module), attr, None) is None
+    }
+    assert missing == ABSENT_WRAPS
+
+
 def test_cli_trace_passes_reference_check(tmp_path, make_dataset, bench):
     data = tmp_path / "data.libsvm"
     data.write_text(dump_libsvm(make_dataset(60, 6, seed=23)))

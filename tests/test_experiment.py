@@ -515,6 +515,20 @@ def test_cli_run_bad_params_is_config_error(tmp_path, config_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, constant", [("sadmm", "c_eps"), ("sadmm_adaptive", "c_tau")])
+def test_cli_run_non_finite_scheduler_constant_is_config_error(
+    tmp_path, config_file, capsys, name, constant
+):
+    # with sigma2 = 0 an infinite constant used to reach the batch size as
+    # 0 * inf = NaN and crash the run
+    method = {"name": name, "beta": 1.0, "eta": 0.5, constant: float("inf")}
+    path = config_file(sigma2=0.0, methods=[method])
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{constant} must be positive and finite" in err
+
+
 def test_cli_run_all_diverged_exit_code(tmp_path, config_file, monkeypatch):
     def explode(problem, cfg, test_objective=None, step_monitor=None):
         raise DivergenceError("non-finite iterate at iteration 1", trace=[])
@@ -568,3 +582,18 @@ def test_experiment_config_validation(tmp_path, data_file):
     )
     with pytest.raises(ConfigError, match="repeats"):
         run_experiment(cfg, str(tmp_path / "o"))
+    # budget and top-level faults name their key, not the first method
+    cfg = dataclasses.replace(cfg, repeats=1)
+    cases = [
+        (dict(target_epsilon=0.0), "budget.target_epsilon"),
+        (dict(oracle_budget=0), "budget.oracle_budget"),
+        (dict(eval_stride=0), "eval_stride"),
+        (dict(sigma2=-1.0), "sigma2"),
+        (dict(sigma2=float("nan")), "sigma2"),
+    ]
+    for fields, key in cases:
+        with pytest.raises(ConfigError) as exc_info:
+            run_experiment(dataclasses.replace(cfg, **fields), str(tmp_path / "o"))
+        message = str(exc_info.value)
+        assert message.startswith(f"{key} must be"), message
+        assert "methods[" not in message

@@ -1,12 +1,8 @@
+import math
+
 import pytest
 
-from absadmm.schedulers import (
-    SchedulerParams,
-    TauAccumulator,
-    adaptive_batch,
-    static_batch,
-    tau_update,
-)
+from absadmm.schedulers import SchedulerParams, adaptive_batch
 
 
 def _sp(**kw):
@@ -15,15 +11,16 @@ def _sp(**kw):
     return SchedulerParams(**base)
 
 
+# the static size is the rule at tau = 0
 def test_static_frozen():
-    assert static_batch(_sp()) == 3000
-    assert static_batch(_sp(n=100)) == 100
-    assert static_batch(_sp(sigma2=0.0)) == 1  # floor at one sample
+    assert adaptive_batch(_sp(), 0.0) == 3000
+    assert adaptive_batch(_sp(n=100), 0.0) == 100
+    assert adaptive_batch(_sp(sigma2=0.0), 0.0) == 1  # floor at one sample
 
 
 def test_static_ceil():
     # 2999.2 rounds up
-    assert static_batch(_sp(sigma2=2999.2 / 3000.0)) == 3000
+    assert adaptive_batch(_sp(sigma2=2999.2 / 3000.0), 0.0) == 3000
 
 
 def test_abs_sadmm_frozen():
@@ -56,29 +53,6 @@ def test_batch_floor():
     assert adaptive_batch(_sp(sigma2=1e-12), 10.0) == 1
 
 
-def test_tau_accumulator_window():
-    acc = TauAccumulator(divisor=5, value_for_next_epoch=100.0)
-    for _ in range(5):
-        tau_update(acc, 1.0)
-    assert acc.value_for_next_epoch == 100.0  # unchanged until the window closes
-    acc.roll_epoch()
-    assert acc.value_for_next_epoch == pytest.approx(1.0)
-    assert acc.running_sum == 0.0
-    # second window is independent
-    for _ in range(5):
-        tau_update(acc, 2.0)
-    acc.roll_epoch()
-    assert acc.value_for_next_epoch == pytest.approx(2.0)
-
-
-def test_tau_update_validation():
-    acc = TauAccumulator(divisor=3, value_for_next_epoch=0.0)
-    with pytest.raises(ValueError):
-        tau_update(acc, -1.0)
-    with pytest.raises(ValueError):
-        TauAccumulator(divisor=0, value_for_next_epoch=0.0)
-
-
 def test_scheduler_params_validation():
     with pytest.raises(ValueError):
         _sp(c_tau=0.0)
@@ -90,3 +64,11 @@ def test_scheduler_params_validation():
         _sp(n=0)
     with pytest.raises(ValueError):
         _sp(tau_init=-0.1)
+    # finite constants only: with sigma2 = 0, an infinite one made 0 * inf = NaN
+    for name in ("c_tau", "c_eps", "epsilon", "tau_init"):
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            _sp(**{name: math.inf})
+    with pytest.raises(ValueError):
+        _sp(c_eps=math.nan)
+    with pytest.raises(ValueError):
+        _sp(tau_init=math.nan)

@@ -5,7 +5,7 @@ import absadmm.solvers as solvers
 from absadmm.errors import DivergenceError
 from absadmm.kernel import AdmmParams, make_admm_params
 from absadmm.problems import build_fused_logistic
-from absadmm.schedulers import SchedulerParams, static_batch
+from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, SolverConfig, run
 
 
@@ -155,9 +155,50 @@ def test_oracle_ledger_spider(fused):
 
 def test_adaptive_batches_never_exceed_static(fused):
     sched = SchedulerParams(c_tau=1.0, c_eps=3.0, epsilon=1e-3, sigma2=0.5, n=fused.n, tau_init=1.0)
-    cap = static_batch(sched)
+    cap = adaptive_batch(sched, 0.0)
     res = run(fused, _config(fused, "sadmm_adaptive", sched=sched, max_iters=40))
     assert all(rec.batch_size <= cap for rec in res.trace)
+
+
+@pytest.mark.parametrize(
+    "method, window",
+    [
+        ("sadmm_adaptive", 1),
+        ("svrg_admm_adaptive", 4),
+        ("spider_admm_adaptive", 3),
+        ("sadmm", 1),
+        ("svrg_admm", 4),
+        ("spider_admm", 3),
+    ],
+)
+def test_anchor_sizes_follow_the_window_mean_of_squared_steps(make_dataset, method, window):
+    # the pinned-trace problem: anchors fall well below the static cap of 50
+    p = build_fused_logistic(make_dataset(80, 5, seed=5), 0.02)
+    sp = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002)
+    cfg = _config(p, method, sched=sp, max_iters=24, b=3, T=window, q=window, seed=7)
+    steps = []
+
+    def monitor(info):
+        dx = info.x_new - info.x_old
+        steps.append(float(dx @ dx))
+
+    trace = run(p, cfg, step_monitor=monitor).trace
+    assert len(steps) == len(trace) == 24
+    anchors = [rec.batch_size for rec in trace[::window]]
+    if not method.endswith("_adaptive"):
+        assert anchors == [adaptive_batch(sp, 0.0)] * len(anchors)
+        return
+    # sadmm's first decision reads 0, the variance-reduced ones tau_init;
+    # later decisions read the mean squared step of the previous window
+    tau = 0.0 if method == "sadmm_adaptive" else sp.tau_init
+    expected = [adaptive_batch(sp, tau)]
+    for start in range(0, len(steps) - window, window):
+        tau = 0.0
+        for s in steps[start : start + window]:
+            tau += s / window
+        expected.append(adaptive_batch(sp, tau))
+    assert anchors == expected
+    assert min(anchors) < adaptive_batch(sp, 0.0)
 
 
 def test_epoch_column(fused):
@@ -243,7 +284,7 @@ def test_divergence_names_block_row_batch_and_step(fused):
         evaluated = [r.stationarity for r in exc.trace if r.stationarity is not None]
         assert exc.block == block
         assert exc.row == len(exc.trace) + 1
-        assert exc.batch_size == static_batch(cfg.sched)
+        assert exc.batch_size == adaptive_batch(cfg.sched, 0.0)
         assert exc.dx_sq == np.inf
         assert exc.last_stationarity == (evaluated[-1] if evaluated else None)
         assert np.isfinite(evaluated).all() and bool(evaluated) == (eval_stride == 1)
