@@ -146,7 +146,7 @@ def _ceil_root(n: int, num: int, den: int) -> int:
     return max(t, 1)
 
 
-def _sweep_beta(eta, L, norm_A, norm_B, varsigma, opnorm, tail_builder):
+def _sweep_beta(eta, varsigma, opnorm, tail_builder):
     """Resolve the circular beta bound (zeta_max depends on beta through the
     default metric constant) by one fixed-point sweep from the zeta-free
     bounds, then verify."""
@@ -176,7 +176,7 @@ def svrg_preset(n: int, L: float, norm_A: float, norm_B: float, varsigma: float,
             math.sqrt(10.0 * (2.0 + 9.0 * L * L + 2.0 * zmax_over_eta**2)) / varsigma,
         )
 
-    beta, zeta_max, r, ok = _sweep_beta(eta, L, norm_A, norm_B, varsigma, opnorm, tails)
+    beta, zeta_max, r, ok = _sweep_beta(eta, varsigma, opnorm, tails)
     c = 9.0 + (12.0 / (L * L)) * (3.0 + beta * beta * prod)
     return VrPreset(
         kind="svrg", b=b, window=T, eta=eta, beta=beta, c_tau=c, c_eps=c,
@@ -204,7 +204,7 @@ def spider_preset(
             math.sqrt(20.0 * (1.0 + 2.0 * L * L + zmax_over_eta**2)) / varsigma,
         )
 
-    beta, zeta_max, r, ok = _sweep_beta(eta, L, norm_A, norm_B, varsigma, opnorm, tails)
+    beta, zeta_max, r, ok = _sweep_beta(eta, varsigma, opnorm, tails)
     c = (9.0 * (1.0 + c_d) / 2.0) * (4.0 + beta * beta * prod)
     return VrPreset(
         kind="spider", b=b, window=q, eta=eta, beta=beta, c_tau=c, c_eps=c,

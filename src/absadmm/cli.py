@@ -4,11 +4,12 @@
     absadmm advise --dataset data.txt --problem fused_logistic [--beta B --eta E]
     absadmm --list-methods
 
-Exit codes: 0 success, 2 bad config, 3 bad data, 4 every run diverged.
+Exit codes: 0 success, 2 bad config or usage, 3 bad data, 4 every run diverged.
 """
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import yaml
@@ -38,6 +39,26 @@ def _d_hint(text):
     return value
 
 
+def _real(rule, ok):
+    """An argparse type: a float for which ``ok`` holds; ``rule`` says which."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+# NaN fails every comparison, so each range below also refuses nan
+_NONNEGATIVE = _real("nonnegative and finite", lambda v: 0.0 <= v < math.inf)
+_POSITIVE = _real("positive and finite", lambda v: 0.0 < v < math.inf)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="absadmm",
@@ -59,12 +80,14 @@ def _build_parser():
         "--problem", required=True, choices=["fused_logistic", "graph_guided"]
     )
     advp.add_argument("--d-hint", type=_d_hint, default=None)
-    advp.add_argument("--l1", type=float, default=1e-3, help="nonsmooth penalty weight")
-    advp.add_argument("--l2", type=float, default=0.0, help="ridge weight (graph_guided)")
-    advp.add_argument("--corr-threshold", type=float, default=0.7)
-    advp.add_argument("--beta", type=float, default=None)
-    advp.add_argument("--eta", type=float, default=None)
-    advp.add_argument("--c-tau", type=float, default=1.0)
+    advp.add_argument("--l1", type=_NONNEGATIVE, default=1e-3, help="nonsmooth penalty weight")
+    advp.add_argument("--l2", type=_NONNEGATIVE, default=0.0, help="ridge weight (graph_guided)")
+    advp.add_argument(
+        "--corr-threshold", type=_real("in (0, 1]", lambda v: 0.0 < v <= 1.0), default=0.7
+    )
+    advp.add_argument("--beta", type=_POSITIVE, default=None)
+    advp.add_argument("--eta", type=_POSITIVE, default=None)
+    advp.add_argument("--c-tau", type=_POSITIVE, default=1.0)
     return parser
 
 

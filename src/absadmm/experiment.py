@@ -213,6 +213,16 @@ def _int(value, key):
     return value
 
 
+def _float(value, key):
+    """A real config value (None passes through); a boolean is not read as 0 or 1.
+
+    Strings go through float(): PyYAML reads 1e-3 (no dot) as the string '1e-3'.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return None if value is None else float(value)
+
+
 def _bool(value, key):
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -261,13 +271,13 @@ def load_config(path) -> ExperimentConfig:
             methods.append(
                 MethodSpec(
                     name=name,
-                    beta=float(_need(entry, "beta", f"methods[{i}]")),
-                    eta=float(_need(entry, "eta", f"methods[{i}]")),
-                    r=None if entry.get("r") is None else float(entry["r"]),
-                    c_tau=float(entry.get("c_tau", 1.0)),
-                    c_eps=float(entry.get("c_eps", 1.0)),
-                    epsilon=float(entry.get("epsilon", 1e-3)),
-                    tau_init=float(entry.get("tau_init", 0.0)),
+                    beta=_float(_need(entry, "beta", f"methods[{i}]"), "beta"),
+                    eta=_float(_need(entry, "eta", f"methods[{i}]"), "eta"),
+                    r=_float(entry.get("r"), "r"),
+                    c_tau=_float(entry.get("c_tau", 1.0), "c_tau"),
+                    c_eps=_float(entry.get("c_eps", 1.0), "c_eps"),
+                    epsilon=_float(entry.get("epsilon", 1e-3), "epsilon"),
+                    tau_init=_float(entry.get("tau_init", 0.0), "tau_init"),
                     b=_int(entry.get("b", 1), "b"),
                     T=_int(entry.get("T", 1), "T"),
                     q=_int(entry.get("q", 1), "q"),
@@ -283,19 +293,17 @@ def load_config(path) -> ExperimentConfig:
             normalize=_bool(ds.get("normalize", False), "dataset.normalize"),
             split=_bool(split.get("enabled", True), "split.enabled"),
             problem_kind=kind,
-            l1=float(_need(prob, "l1", "problem")),
-            l2=float(prob.get("l2", 0.0)),
-            corr_threshold=float(prob.get("corr_threshold", 0.7)),
+            l1=_float(_need(prob, "l1", "problem"), "problem.l1"),
+            l2=_float(prob.get("l2", 0.0), "problem.l2"),
+            corr_threshold=_float(prob.get("corr_threshold", 0.7), "problem.corr_threshold"),
             methods=tuple(methods),
             seed=_int(doc.get("seed", 0), "seed"),
             repeats=_int(doc.get("repeats", 5), "repeats"),
             max_iters=_int(_need(budget, "max_iters", "budget"), "budget.max_iters"),
             oracle_budget=_int(budget.get("oracle_budget"), "budget.oracle_budget"),
-            target_epsilon=(
-                None if budget.get("target_epsilon") is None else float(budget["target_epsilon"])
-            ),
+            target_epsilon=_float(budget.get("target_epsilon"), "budget.target_epsilon"),
             eval_stride=_int(doc.get("eval_stride"), "eval_stride"),
-            sigma2=None if doc.get("sigma2") is None else float(doc["sigma2"]),
+            sigma2=_float(doc.get("sigma2"), "sigma2"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

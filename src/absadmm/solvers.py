@@ -124,6 +124,12 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
+    """What a run returns: its TraceRecord rows in order and its final state.
+
+    state.k is the last completed iteration and state.tally the run's oracle
+    ledger, solver and evaluation calls kept apart.
+    """
+
     trace: list
     state: SolverState
 
@@ -140,141 +146,24 @@ class StepInfo:
     lam_new: np.ndarray
 
 
-class _EvalClock:
-    """Decides on which rows the objective and stationarity get measured."""
-
-    def __init__(self, stride, n):
-        self.stride = stride
-        self.n = n
-        self.next_calls = n
-
-    def due(self, row: int, solver_calls: int, last: bool) -> bool:
-        if last:
-            return True
-        if self.stride is not None:
-            return row % self.stride == 0
-        if solver_calls >= self.next_calls:
-            self.next_calls = (solver_calls // self.n + 1) * self.n
-            return True
-        return False
-
-
-def _init_state(p: ProblemInstance) -> SolverState:
-    x0 = np.zeros(p.constraint.d1)
-    y0 = np.zeros(p.constraint.m)
-    lam0 = np.zeros(p.constraint.m)
-    return SolverState(x=x0, y=y0, lam=lam0, tally=OracleTally())
-
-
-def _streams(seed):
-    anchor_ss, inner_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(anchor_ss), np.random.default_rng(inner_ss)
-
-
-class _Loop:
-    """Per-iteration bookkeeping: kernel update, evaluation, trace row, stop flags.
-
-    ``ax`` is A x at the current x, and ``full_grad`` the exact gradient there
-    when the last row was evaluated, else None.
-    """
-
-    def __init__(self, p, cfg, test_objective, step_monitor):
-        self.p = p
-        self.cfg = cfg
-        self.test_objective = test_objective
-        self.monitor = step_monitor
-        self.state = _init_state(p)
-        self.ax = np.zeros(p.constraint.m)  # A x_0 with x_0 = 0
-        self.full_grad = None
-        self.last_stationarity = None
-        self.trace = []
-        self.clock = _EvalClock(cfg.eval_stride, p.n)
-        self.t0 = time.perf_counter()
-        self.stop = False
-
-    def step(self, v, batch_col: int, epoch_col: int) -> float:
-        """Apply one y/x/dual update, record the row, return ||dx||^2."""
-        p, cfg, state = self.p, self.cfg, self.state
-        y_new = y_step(p, cfg.admm, state.x, state.lam, ax=self.ax)
-        x_new = x_step(p, cfg.admm, state.x, y_new, state.lam, v, ax=self.ax)
-        ax_new = p.constraint.matvec(x_new)
-        lam_new = dual_step(p, cfg.admm, x_new, y_new, state.lam, ax=ax_new)
-        row = state.k + 1
-        for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
-            if not np.isfinite(arr).all():
-                self._diverged(block, row, batch_col, state.x, x_new)
-        if self.monitor is not None:
-            self.monitor(
-                StepInfo(
-                    k=state.k,
-                    v=v,
-                    x_old=state.x,
-                    y_new=y_new,
-                    x_new=x_new,
-                    lam_new=lam_new,
-                )
-            )
-        x_old = state.x
-        state.x, state.y, state.lam = x_new, y_new, lam_new
-        state.k = row
-        self.ax, self.full_grad = ax_new, None
-
-        over_budget = (
-            cfg.oracle_budget is not None and state.tally.solver_calls >= cfg.oracle_budget
-        )
-        last = row >= cfg.max_iters or over_budget
-        obj = stat_total = test_val = None
-        if self.clock.due(row, state.tally.solver_calls, last):
-            report = stationarity(p, state)
-            state.tally.eval_calls += p.n
-            obj, stat_total = report.objective, report.total
-            if not (np.isfinite(obj) and np.isfinite(stat_total)):
-                self._diverged("stationarity", row, batch_col, x_old, x_new)
-            self.full_grad = report.grad
-            self.last_stationarity = stat_total
-            if self.test_objective is not None:
-                test_val = self.test_objective(state.x)
-        self.trace.append(
-            TraceRecord(
-                iter=row,
-                epoch=epoch_col,
-                batch_size=batch_col,
-                oracle_calls=state.tally.solver_calls,
-                objective=obj,
-                stationarity=stat_total,
-                time_ms=(time.perf_counter() - self.t0) * 1e3,
-                test_objective=test_val,
-            )
-        )
-        self.stop = over_budget or (
-            cfg.target_epsilon is not None
-            and stat_total is not None
-            and stat_total <= cfg.target_epsilon
-        )
+def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace):
+    """Build the DivergenceError for a non-finite ``block`` on ``row``."""
+    with np.errstate(all="ignore"):
         dx = x_new - x_old
-        return float(dx @ dx)
-
-    def _diverged(self, block: str, row: int, batch_size: int, x_old, x_new):
-        with np.errstate(all="ignore"):
-            dx = x_new - x_old
-            dx_sq = float(dx @ dx)
-        last = self.last_stationarity
-        last_text = "none" if last is None else f"{last:.6g}"
-        what = "evaluation" if block == "stationarity" else "iterate"
-        raise DivergenceError(
-            f"non-finite {what} at iteration {row}: block {block} "
-            f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
-            f"last finite stationarity {last_text})",
-            trace=self.trace,
-            block=block,
-            row=row,
-            batch_size=batch_size,
-            dx_sq=dx_sq,
-            last_stationarity=last,
-        )
-
-    def result(self) -> RunResult:
-        return RunResult(trace=self.trace, state=self.state)
+        dx_sq = float(dx @ dx)
+    last_text = "none" if last_stationarity is None else f"{last_stationarity:.6g}"
+    what = "evaluation" if block == "stationarity" else "iterate"
+    return DivergenceError(
+        f"non-finite {what} at iteration {row}: block {block} "
+        f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
+        f"last finite stationarity {last_text})",
+        trace=trace,
+        block=block,
+        row=row,
+        batch_size=batch_size,
+        dx_sq=dx_sq,
+        last_stationarity=last_stationarity,
+    )
 
 
 # estimator kind and the SolverConfig field holding the anchor window, per
@@ -297,30 +186,92 @@ def run(
     kind, window_field = _KINDS[base]
     adaptive = base != cfg.method
     window = getattr(cfg, window_field) if window_field else 1
-    loop = _Loop(p, cfg, test_objective, step_monitor)
-    state = loop.state
+    sp, admm, A = cfg.sched, cfg.admm, p.constraint
+    tally = OracleTally()
+    state = SolverState(x=np.zeros(A.d1), y=np.zeros(A.m), lam=np.zeros(A.m), tally=tally)
+    # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
+    # there when the last row was evaluated, else None
+    ax, full_grad = np.zeros(A.m), None
+    last_stationarity = None
+    trace = []
+    # without eval_stride, a row is evaluated once solver calls reach
+    # next_pass, which then moves to the first multiple of n above them
+    next_pass = p.n
+    t0 = time.perf_counter()
     est = kind(p)
-    rng_anchor, rng_inner = _streams(cfg.seed)
-    sp = cfg.sched
+    anchor_ss, inner_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng_anchor, rng_inner = np.random.default_rng(anchor_ss), np.random.default_rng(inner_ss)
     # tau is the mean squared step of the last closed window, window_sum that
     # of the open one; sadmm's first decision reads 0.0 (no step yet), so it
     # takes the cap, and the static methods read 0.0 at every anchor
     tau = sp.tau_init if window_field else 0.0
     window_sum = 0.0
     for k in range(cfg.max_iters):
+        row = k + 1
         v, batch_col = None, cfg.b
         if k % window == 0:
             N = adaptive_batch(sp, tau if adaptive else 0.0)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            v = est.anchor(state.x, anchor, state.tally, loop.full_grad)
+            v = est.anchor(state.x, anchor, tally, full_grad)
             batch_col = N
         if v is None:
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
-            v = est.step(state.x, batch, state.tally)
-        epoch_col = k // window + 1 if window_field else 0
-        window_sum += loop.step(v, batch_col=batch_col, epoch_col=epoch_col) / window
-        if (k + 1) % window == 0:
+            v = est.step(state.x, batch, tally)
+
+        x_old = state.x
+        y_new = y_step(p, admm, x_old, state.lam, ax=ax)
+        x_new = x_step(p, admm, x_old, y_new, state.lam, v, ax=ax)
+        ax = A.matvec(x_new)
+        lam_new = dual_step(p, admm, x_new, y_new, state.lam, ax=ax)
+        for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
+            if not np.isfinite(arr).all():
+                raise _diverged(block, row, batch_col, x_old, x_new, last_stationarity, trace)
+        if step_monitor is not None:
+            step_monitor(
+                StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
+            )
+        state.x, state.y, state.lam, state.k = x_new, y_new, lam_new, row
+        full_grad = None
+
+        over_budget = cfg.oracle_budget is not None and tally.solver_calls >= cfg.oracle_budget
+        if cfg.eval_stride is not None:
+            due = row % cfg.eval_stride == 0
+        else:
+            due = tally.solver_calls >= next_pass
+        obj = stat_total = test_val = None
+        if due or row >= cfg.max_iters or over_budget:
+            next_pass = (tally.solver_calls // p.n + 1) * p.n
+            report = stationarity(p, state)
+            tally.eval_calls += p.n
+            obj, stat_total = report.objective, report.total
+            if not (np.isfinite(obj) and np.isfinite(stat_total)):
+                raise _diverged(
+                    "stationarity", row, batch_col, x_old, x_new, last_stationarity, trace
+                )
+            full_grad, last_stationarity = report.grad, stat_total
+            if test_objective is not None:
+                test_val = test_objective(x_new)
+        trace.append(
+            TraceRecord(
+                iter=row,
+                epoch=k // window + 1 if window_field else 0,
+                batch_size=batch_col,
+                oracle_calls=tally.solver_calls,
+                objective=obj,
+                stationarity=stat_total,
+                time_ms=(time.perf_counter() - t0) * 1e3,
+                test_objective=test_val,
+            )
+        )
+
+        dx = x_new - x_old
+        window_sum += float(dx @ dx) / window
+        if row % window == 0:
             tau, window_sum = window_sum, 0.0
-        if loop.stop:
+        if over_budget or (
+            cfg.target_epsilon is not None
+            and stat_total is not None
+            and stat_total <= cfg.target_epsilon
+        ):
             break
-    return loop.result()
+    return RunResult(trace=trace, state=state)

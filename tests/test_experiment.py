@@ -139,6 +139,13 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
             r"budget has unknown keys \['target_epsilom'\]",
         ),
         (lambda d: d["split"].update(enable=False), r"split has unknown keys \['enable'\]"),
+        (lambda d: d["problem"].update(l1=True), "problem.l1 must be a number, got True"),
+        (
+            lambda d: d["budget"].update(target_epsilon=True),
+            "budget.target_epsilon must be a number, got True",
+        ),
+        (lambda d: d["methods"][0].update(r=False), r"methods\[0\]: r must be a number, got False"),
+        (lambda d: d.update(sigma2=False), "sigma2 must be a number, got False"),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, data_file, capsys, mutate, msg):
@@ -156,6 +163,15 @@ def test_load_config_accepts_integral_floats(config_file):
     cfg = load_config(config_file(repeats=2.0, budget={"max_iters": 8.0, "oracle_budget": 1.0e5}))
     assert cfg.repeats == 2 and type(cfg.repeats) is int
     assert cfg.max_iters == 8 and cfg.oracle_budget == 100000
+
+
+def test_load_config_reads_exponent_strings_as_numbers(tmp_path, data_file):
+    # PyYAML reads 1e-3 (no dot) as the string '1e-3', not as a float
+    text = yaml.safe_dump(_config_doc(data_file)).replace("epsilon: 0.01", "epsilon: 1e-3")
+    assert "epsilon: 1e-3\n" in text
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    assert load_config(str(path)).methods[1].epsilon == 0.001
 
 
 def test_load_config_root_not_mapping(tmp_path):
@@ -507,6 +523,32 @@ def test_cli_advise_d_hint_below_one_is_usage_error(data_file, capsys, d_hint):
         main(argv)
     assert exc.value.code == 2
     assert f"argument --d-hint: must be at least 1, got {d_hint}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, flags, want",
+    [
+        ("fused_logistic", ["--l1", "-1"], "--l1: must be nonnegative and finite, got -1"),
+        ("graph_guided", ["--l2", "-1"], "--l2: must be nonnegative and finite, got -1"),
+        ("graph_guided", ["--corr-threshold", "2"], "--corr-threshold: must be in (0, 1], got 2"),
+        (
+            "fused_logistic",
+            ["--beta", "50", "--eta", "0.02", "--c-tau", "0"],
+            "--c-tau: must be positive and finite, got 0",
+        ),
+        (
+            "fused_logistic",
+            ["--beta", "-1", "--eta", "0.5"],
+            "--beta: must be positive and finite, got -1",
+        ),
+    ],
+)
+def test_cli_advise_bad_numeric_flag_is_usage_error(data_file, capsys, problem, flags, want):
+    argv = ["advise", "--dataset", data_file, "--problem", problem, *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {want}" in capsys.readouterr().err
 
 
 def test_cli_run_bad_params_is_config_error(tmp_path, config_file, capsys):

@@ -393,6 +393,33 @@ def test_pinned_trace(make_dataset, method):
     assert got == pytest.approx(objectives, rel=1e-12, abs=0.0)
 
 
+# rows evaluated without eval_stride: a row is evaluated once the cumulative
+# solver calls reach the next multiple of n = 80, and the last row always
+PER_PASS_ROWS = {
+    "sadmm": [2, 4, 5, 7, 8, 10, 12],
+    "sadmm_adaptive": [3, 12],
+    "svrg_admm": [5, 10, 12],
+    "svrg_admm_adaptive": [10, 12],
+    "spider_admm": [5, 9, 12],
+    "spider_admm_adaptive": [12],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_once_per_pass_evaluation_rows(make_dataset, method):
+    p = build_fused_logistic(make_dataset(80, 5, seed=5), 0.02)
+    sched = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002)
+    params = make_admm_params(p.constraint, beta=1.0, eta=0.5)
+    cfg = SolverConfig(
+        method=method, admm=params, sched=sched, max_iters=12, b=3, T=5, q=4, seed=7
+    )
+    trace = run(p, cfg).trace
+    assert [r.iter for r in trace if r.stationarity is not None] == PER_PASS_ROWS[method]
+    assert [r.iter for r in trace if r.objective is not None] == PER_PASS_ROWS[method]
+    # the oracle ledger is the pinned one: evaluation does not touch it
+    assert tuple(r.oracle_calls for r in trace) == PINNED[method][2]
+
+
 def test_wide_graph_never_allocates_m_by_m(make_dataset):
     # d = 2000 with a loose threshold gives m ~ 49k; a dense m x m array would
     # take 18 GiB and the dense m x d matrix A alone 750 MiB
