@@ -1,14 +1,14 @@
 """Stochastic gradient estimators and oracle-call accounting.
 
-The solver loop drives one estimator per run.  At the head of each anchor
-window it calls ``anchor(x, batch, tally, full_grad)`` with a
-without-replacement batch; that returns the step's gradient estimate v, or
-None when an inner step must follow.  ``step(x, batch, tally)`` returns v for
-an inner step on a with-replacement batch.  Anchors take a ``minibatch_grad``;
-an inner step gathers its batch once and takes both of its gradients from
-those rows.  ``full_grad`` is the exact gradient at x when the loop already
-holds it from an evaluation; a whole-set anchor returns it in place of a
-second pass over the data and is charged as if it had made that pass.
+Two functions make every gradient estimate the solver loop takes.
+``minibatch_grad`` is the mean gradient over a batch of distinct indices: an
+anchor's gradient, and sadmm's whole estimate.  ``svrg_grad`` is the
+variance-reduced estimate v = grad_I(x) - grad_I(ref_x) + ref_grad against a
+reference the loop holds; it gathers its batch once and takes both of its
+gradients from those rows.  ``full_grad`` is the exact gradient at x when the
+loop already holds it from an evaluation; a whole-set anchor returns it in
+place of a second pass over the data and is charged as if it had made that
+pass.
 
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
@@ -30,9 +30,7 @@ __all__ = [
     "OracleTally",
     "sample_indices",
     "minibatch_grad",
-    "FreshGradient",
-    "SnapshotGradient",
-    "RecursiveGradient",
+    "svrg_grad",
     "estimate_sigma2",
 ]
 
@@ -82,61 +80,18 @@ def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally, full_grad=N
     return batch_mean_grad(p, x, np.sort(idx))
 
 
-class FreshGradient:
-    """sadmm: the anchor batch's mini-batch gradient is the whole estimate.
+def svrg_grad(p: ProblemInstance, x, batch, ref_x, ref_grad, tally: OracleTally):
+    """Variance-reduced gradient v = grad_I(x) - grad_I(ref_x) + ref_grad.
 
-    Its anchor window is one step, so it never takes an inner step.
+    One gather of the sorted batch I serves both points, and the step is
+    charged 2|batch| component gradients.  The solver loop picks the reference
+    (ref_x, ref_grad): SVRG holds its anchor for a whole window, SPIDER rolls
+    it to the last iterate and estimate after every step.
     """
-
-    def __init__(self, p: ProblemInstance):
-        self.p = p
-
-    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
-        return minibatch_grad(self.p, x, batch, tally, full_grad)
-
-
-class SnapshotGradient:
-    """svrg: v = grad_I(x) - grad_I(ref_x) + ref_grad against the anchor point.
-
-    The anchor sets ref_x and its anchor-batch gradient ref_grad, and returns
-    None: the anchor row also takes an inner step.  An inner step charges
-    2|batch| component gradients, with the same batch I in both terms.
-    """
-
-    def __init__(self, p: ProblemInstance):
-        self.p = p
-        self.ref_x = None
-        self.ref_grad = None
-
-    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
-        self.ref_x = x
-        self.ref_grad = minibatch_grad(self.p, x, batch, tally, full_grad)
-        return None
-
-    def step(self, x, batch, tally: OracleTally):
-        if self.ref_grad is None:
-            raise ValueError("inner step taken before an anchor set the reference point")
-        idx = np.sort(np.asarray(batch, dtype=np.intp))
-        tally.solver_calls += 2 * idx.shape[0]
-        g_x, g_ref = batch_mean_grads(self.p, (x, self.ref_x), idx)
-        return g_x - g_ref + self.ref_grad
-
-
-class RecursiveGradient(SnapshotGradient):
-    """spider: the snapshot difference taken against the previous iterate.
-
-    The anchor's gradient is the refresh row's estimate; each inner step then
-    rolls the reference forward: ref_x <- x, ref_grad <- v.
-    """
-
-    def anchor(self, x, batch, tally: OracleTally, full_grad=None):
-        super().anchor(x, batch, tally, full_grad)
-        return self.ref_grad
-
-    def step(self, x, batch, tally: OracleTally):
-        v = super().step(x, batch, tally)
-        self.ref_x, self.ref_grad = x, v
-        return v
+    idx = np.sort(np.asarray(batch, dtype=np.intp))
+    tally.solver_calls += 2 * idx.shape[0]
+    g_x, g_ref = batch_mean_grads(p, (x, ref_x), idx)
+    return g_x - g_ref + ref_grad
 
 
 def estimate_sigma2(p: ProblemInstance, x0, m: int, rng: np.random.Generator) -> float:

@@ -8,6 +8,7 @@ run one after another in this process.
 """
 
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -217,10 +218,16 @@ def _float(value, key):
     """A real config value (None passes through); a boolean is not read as 0 or 1.
 
     Strings go through float(): PyYAML reads 1e-3 (no dot) as the string '1e-3'.
+    A value that float() cannot read is a config error that names the key.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return None if value is None else float(value)
+    if value is None:
+        return None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _bool(value, key):
@@ -323,12 +330,16 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("budget.target_epsilon must be positive when set")
     if cfg.eval_stride is not None and cfg.eval_stride < 1:
         raise ConfigError("eval_stride must be at least 1 when set")
-    if cfg.sigma2 is not None and not cfg.sigma2 >= 0.0:
-        raise ConfigError("sigma2 must be nonnegative when set")
-    if not cfg.l1 >= 0.0:
-        raise ConfigError("problem.l1 must be nonnegative")
-    if not cfg.l2 >= 0.0:
-        raise ConfigError("problem.l2 must be nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.sigma2 is not None and not 0.0 <= cfg.sigma2 < math.inf:
+        raise ConfigError(f"sigma2 must be nonnegative and finite when set, got {cfg.sigma2}")
+    for key, value in (("problem.l1", cfg.l1), ("problem.l2", cfg.l2)):
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{key} must be nonnegative and finite, got {value}")
+    # checked whatever the kind, as l2 is, though only graph_guided reads it
+    if not 0.0 < cfg.corr_threshold <= 1.0:
+        raise ConfigError(f"problem.corr_threshold must lie in (0, 1], got {cfg.corr_threshold}")
 
 
 def _derive_seed(base: int, *tags) -> int:

@@ -12,6 +12,7 @@ linear solve is required.  The default r = beta*eta*||A^T A|| + 1 uses the
 constraint's exact spectrum, so the smallest eigenvalue of G is 1.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,8 +43,8 @@ class AdmmParams:
 
     def __post_init__(self):
         for name in ("beta", "eta", "r"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass

@@ -6,6 +6,7 @@ stored as COO triplets and applied in O(nnz); both built-in families make it
 sparse (a difference matrix, or edge rows stacked over the identity).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,8 @@ class NonsmoothSpec:
     def __post_init__(self):
         if self.kind != "weighted_l1":
             raise UnsupportedProblemError(f"unsupported penalty kind {self.kind!r}")
-        if not self.weight >= 0.0:
-            raise ValueError("penalty weight must be nonnegative")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError("penalty weight must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +129,8 @@ class ProblemInstance:
     def __post_init__(self):
         if self.loss not in ("logistic", "sigmoid"):
             raise UnsupportedProblemError(f"unsupported loss {self.loss!r}")
-        if not self.ridge >= 0.0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be nonnegative and finite")
         if self.constraint.d1 != self.dataset.d:
             raise ValueError(
                 f"A has {self.constraint.d1} columns but data has {self.dataset.d} features"

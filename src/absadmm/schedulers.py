@@ -39,8 +39,8 @@ class SchedulerParams:
         for name in ("c_tau", "c_eps", "epsilon"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not self.sigma2 >= 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be nonnegative and finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0.0 <= self.tau_init < math.inf:

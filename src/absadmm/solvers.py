@@ -1,13 +1,18 @@
 """The solver loop behind all six method variants.
 
-Each method is an estimator kind plus an anchor window:
+Each method is an anchor window plus a rule for the gradient reference:
 
   sadmm          window 1   fresh mini-batch gradient
-  svrg_admm      window T   snapshot gradient against the window's anchor point
-  spider_admm    window q   recursive gradient, refreshed at every anchor
+  svrg_admm      window T   v against the window's anchor point
+  spider_admm    window q   v against the previous iterate and estimate
 
 At the head of every window the loop draws an anchor batch without
-replacement and hands it to the estimator.  One rule, ``adaptive_batch``,
+replacement, and that batch's mini-batch gradient at x becomes the reference
+(ref_x, ref_grad).  sadmm and spider take it as the row's estimate; svrg's
+anchor row also takes an inner step.  An inner step's estimate is
+``svrg_grad``, v = grad_I(x) - grad_I(ref_x) + ref_grad: svrg holds the
+reference for the whole window, and spider rolls it to (x, v) after every
+inner step.  One rule, ``adaptive_batch``,
 sizes every anchor: the ``_adaptive`` flavors pass it the mean squared step
 of the previous window (for sadmm, the last step) as tau, and the static ones
 pass tau = 0, which leaves the cap.  Inner steps draw ``b`` indices with
@@ -22,9 +27,10 @@ step into the next y and x steps, so a row forms one ``matvec`` and two
 ``rmatvec``s.  The row that stops a run is always an evaluation row.
 
 An evaluation's pass also yields the exact gradient at x_{k+1}.  When the
-next row draws a whole-set anchor at that same point, the estimator takes
-that gradient instead of a second pass.  The draw still consumes the anchor
-stream, and both ledgers are charged as if each side had made its own pass.
+next row draws a whole-set anchor at that same point, ``minibatch_grad``
+takes that gradient instead of a second pass.  The draw still consumes the
+anchor stream, and both ledgers are charged as if each side had made its own
+pass.
 """
 
 import time
@@ -34,13 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .estimators import (
-    FreshGradient,
-    OracleTally,
-    RecursiveGradient,
-    SnapshotGradient,
-    sample_indices,
-)
+from .estimators import OracleTally, minibatch_grad, sample_indices, svrg_grad
 from .kernel import AdmmParams, SolverState, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
 from .schedulers import SchedulerParams, adaptive_batch
@@ -166,13 +166,9 @@ def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace):
     )
 
 
-# estimator kind and the SolverConfig field holding the anchor window, per
-# base method; sadmm's window is 1 and its epoch column stays 0
-_KINDS = {
-    "sadmm": (FreshGradient, None),
-    "svrg_admm": (SnapshotGradient, "T"),
-    "spider_admm": (RecursiveGradient, "q"),
-}
+# the SolverConfig field holding the anchor window, per base method; sadmm's
+# window is 1 and its epoch column stays 0
+_KINDS = {"sadmm": None, "svrg_admm": "T", "spider_admm": "q"}
 
 
 def run(
@@ -181,9 +177,9 @@ def run(
     test_objective: Optional[Callable] = None,
     step_monitor: Optional[Callable] = None,
 ) -> RunResult:
-    """Run cfg.method: its estimator kind over anchor windows of its size."""
+    """Run cfg.method: its reference rule over anchor windows of its size."""
     base = cfg.method.removesuffix("_adaptive")
-    kind, window_field = _KINDS[base]
+    window_field = _KINDS[base]
     adaptive = base != cfg.method
     window = getattr(cfg, window_field) if window_field else 1
     sp, admm, A = cfg.sched, cfg.admm, p.constraint
@@ -197,8 +193,9 @@ def run(
     # without eval_stride, a row is evaluated once solver calls reach
     # next_pass, which then moves to the first multiple of n above them
     next_pass = p.n
+    # the variance-reduced reference point and its gradient estimate
+    ref_x = ref_grad = None
     t0 = time.perf_counter()
-    est = kind(p)
     anchor_ss, inner_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_anchor, rng_inner = np.random.default_rng(anchor_ss), np.random.default_rng(inner_ss)
     # tau is the mean squared step of the last closed window, window_sum that
@@ -208,15 +205,19 @@ def run(
     window_sum = 0.0
     for k in range(cfg.max_iters):
         row = k + 1
-        v, batch_col = None, cfg.b
-        if k % window == 0:
+        batch_col = cfg.b
+        anchored = k % window == 0
+        if anchored:
             N = adaptive_batch(sp, tau if adaptive else 0.0)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            v = est.anchor(state.x, anchor, tally, full_grad)
-            batch_col = N
-        if v is None:
+            ref_x, ref_grad = state.x, minibatch_grad(p, state.x, anchor, tally, full_grad)
+            v, batch_col = ref_grad, N
+        # svrg's anchor row also takes an inner step, against the anchor it just set
+        if not anchored or base == "svrg_admm":
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
-            v = est.step(state.x, batch, tally)
+            v = svrg_grad(p, state.x, batch, ref_x, ref_grad, tally)
+            if base == "spider_admm":
+                ref_x, ref_grad = state.x, v  # spider rolls the reference every step
 
         x_old = state.x
         y_new = y_step(p, admm, x_old, state.lam, ax=ax)

@@ -21,7 +21,7 @@ import pytest
 from absadmm.advisor import estimate_L, sadmm_feasibility, spider_preset, svrg_preset
 import absadmm
 from absadmm.datasets import Dataset, dump_libsvm
-from absadmm.estimators import OracleTally, SnapshotGradient, estimate_sigma2, minibatch_grad
+from absadmm.estimators import OracleTally, estimate_sigma2, minibatch_grad, svrg_grad
 from absadmm.kernel import dual_step, make_admm_params, x_step, y_step
 from absadmm.problems import (
     NonsmoothSpec,
@@ -127,9 +127,9 @@ def test_estimators_unbiased_by_enumeration(make_dataset):
     mb = np.mean([minibatch_grad(p, x, [i], tally) for i in range(p.n)], axis=0)
     gap_mb = float(np.max(np.abs(mb - exact)))
 
-    st = SnapshotGradient(p)
-    st.anchor(snap, np.arange(p.n), tally)  # full-batch anchor: exact snapshot gradient
-    sv = np.mean([st.step(x, [i], tally) for i in range(p.n)], axis=0)
+    # full-batch anchor: exact snapshot gradient
+    snap_grad = minibatch_grad(p, snap, np.arange(p.n), tally)
+    sv = np.mean([svrg_grad(p, x, [i], snap, snap_grad, tally) for i in range(p.n)], axis=0)
     gap_sv = float(np.max(np.abs(sv - exact)))
 
     assert gap_mb <= 1e-12

@@ -43,11 +43,9 @@ ABSENT_WRAPS = {
     "absadmm.linalg.power_opnorm",
     "absadmm.solvers.abs_sadmm_batch",
     "absadmm.solvers.abs_vr_batch",
-    "absadmm.solvers.minibatch_grad",
     "absadmm.solvers.objective",
     "absadmm.solvers.spider_grad",
     "absadmm.solvers.static_batch",
-    "absadmm.solvers.svrg_grad",
 }
 
 

@@ -4,11 +4,10 @@ import pytest
 from absadmm.datasets import Dataset
 from absadmm.estimators import (
     OracleTally,
-    RecursiveGradient,
-    SnapshotGradient,
     estimate_sigma2,
     minibatch_grad,
     sample_indices,
+    svrg_grad,
 )
 from absadmm.problems import (
     ConstraintSpec,
@@ -83,24 +82,21 @@ def test_full_batch_equals_full_gradient_bitwise(small):
     assert np.array_equal(got, full_gradient(small, x))
 
 
-def _anchored(kind, p, x):
-    """An estimator anchored at x on the full batch, so its anchor gradient is exact."""
-    est = kind(p)
-    v = est.anchor(x, np.arange(p.n), OracleTally())
-    return est, v
+def _anchored(p, x):
+    """The full-batch anchor gradient at x, which is exact."""
+    return minibatch_grad(p, x, np.arange(p.n), OracleTally())
 
 
 def test_svrg_grad_unbiased_and_tally(small):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     snap = rng.standard_normal(4)
-    est, v = _anchored(SnapshotGradient, small, snap)
-    assert v is None  # the anchor row also takes an inner step
-    assert np.array_equal(est.ref_grad, full_gradient(small, snap))
+    snap_grad = _anchored(small, snap)
+    assert np.array_equal(snap_grad, full_gradient(small, snap))
     tally = OracleTally()
     avg = np.zeros(4)
     for i in range(small.n):
-        avg += est.step(x, np.array([i]), tally)
+        avg += svrg_grad(small, x, np.array([i]), snap, snap_grad, tally)
     avg /= small.n
     assert np.linalg.norm(avg - full_gradient(small, x)) <= 1e-12
     assert tally.solver_calls == 2 * small.n
@@ -109,41 +105,28 @@ def test_svrg_grad_unbiased_and_tally(small):
 def test_svrg_exact_cancellation(small):
     # batch terms cancel bitwise when x equals the snapshot
     x = np.random.default_rng(7).standard_normal(4)
-    est, _ = _anchored(SnapshotGradient, small, x)
-    v = est.step(x.copy(), np.array([2, 2, 5]), OracleTally())
-    assert np.array_equal(v, est.ref_grad)
-
-
-def test_svrg_requires_anchor(small):
-    with pytest.raises(ValueError, match="anchor"):
-        SnapshotGradient(small).step(np.zeros(4), np.array([0]), OracleTally())
+    snap_grad = _anchored(small, x)
+    v = svrg_grad(small, x.copy(), np.array([2, 2, 5]), x, snap_grad, OracleTally())
+    assert np.array_equal(v, snap_grad)
 
 
 def test_spider_recursion_and_state_roll(small):
+    # the loop's roll of (ref_x, ref_grad) is checked in
+    # test_solvers.py::test_vr_reference_policy
     rng = np.random.default_rng(8)
     x_prev = rng.standard_normal(4)
     x = rng.standard_normal(4)
-    est, v_prev = _anchored(RecursiveGradient, small, x_prev)
+    v_prev = _anchored(small, x_prev)
     assert np.array_equal(v_prev, full_gradient(small, x_prev))
     tally = OracleTally()
     # conditional mean over singleton batches equals grad(x) - grad(prev) + v_prev
     avg = np.zeros(4)
     for i in range(small.n):
-        st, _ = _anchored(RecursiveGradient, small, x_prev)
-        avg += st.step(x, np.array([i]), tally)
+        avg += svrg_grad(small, x, np.array([i]), x_prev, v_prev, tally)
     avg /= small.n
     expected = full_gradient(small, x) - full_gradient(small, x_prev) + v_prev
     assert np.linalg.norm(avg - expected) <= 1e-12
     assert tally.solver_calls == 2 * small.n
-    # the reference rolls forward after one step
-    v = est.step(x, np.array([1, 4]), OracleTally())
-    assert est.ref_x is x
-    assert est.ref_grad is v
-
-
-def test_spider_requires_reference(small):
-    with pytest.raises(ValueError, match="reference"):
-        RecursiveGradient(small).step(np.zeros(4), np.array([0]), OracleTally())
 
 
 def test_estimate_sigma2_population_frozen():

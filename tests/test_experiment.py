@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,11 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
         ),
         (lambda d: d["methods"][0].update(r=False), r"methods\[0\]: r must be a number, got False"),
         (lambda d: d.update(sigma2=False), "sigma2 must be a number, got False"),
+        (lambda d: d["problem"].update(l1="abc"), "problem.l1 must be a number, got 'abc'"),
+        (
+            lambda d: d["methods"][0].update(eta="big"),
+            r"methods\[0\]: eta must be a number, got 'big'",
+        ),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, data_file, capsys, mutate, msg):
@@ -569,6 +575,47 @@ def test_cli_run_non_finite_scheduler_constant_is_config_error(
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{constant} must be positive and finite" in err
+
+
+_BAD_REALS = [
+    ("beta", lambda d: d["methods"][0].update(beta=math.inf), [], "methods[0] (svrg_admm): beta"),
+    ("eta", lambda d: d["methods"][0].update(eta=math.inf), [], "methods[0] (svrg_admm): eta"),
+    ("r", lambda d: d["methods"][0].update(r=math.inf), [], "methods[0] (svrg_admm): r"),
+    ("l1", lambda d: d["problem"].update(l1=math.inf), [], "problem.l1"),
+    ("l2", lambda d: d["problem"].update(l2=math.inf), [], "problem.l2"),
+    ("sigma2", lambda d: d.update(sigma2=math.inf), [], "sigma2"),
+    (
+        "corr_threshold-fused",
+        lambda d: d["problem"].update(corr_threshold=1.5),
+        [],
+        "problem.corr_threshold",
+    ),
+    (
+        "corr_threshold-graph",
+        lambda d: d["problem"].update(kind="graph_guided", corr_threshold=0.0),
+        [],
+        "problem.corr_threshold",
+    ),
+    ("seed", lambda d: d.update(seed=-1), [], "seed"),
+    ("seed-override", lambda d: None, ["--seed-override", "-1"], "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, want", [case[1:] for case in _BAD_REALS], ids=[case[0] for case in _BAD_REALS]
+)
+def test_cli_run_bad_real_is_config_error_naming_the_key(
+    tmp_path, data_file, capsys, mutate, argv, want
+):
+    # each is a config error that names its key before any cell runs, not a
+    # traceback, a diverged grid or a run of zero-length steps
+    doc = _config_doc(data_file, methods=[{"name": "svrg_admm", "beta": 1.0, "eta": 0.5}])
+    mutate(doc)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), *argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {want} ")
 
 
 def test_cli_run_all_diverged_exit_code(tmp_path, config_file, monkeypatch):

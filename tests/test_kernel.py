@@ -51,6 +51,9 @@ def test_explicit_r_validated(fused):
         make_admm_params(fused.constraint, 1.0, 1.0, r=1.0)
     with pytest.raises(ValueError, match="positive"):
         AdmmParams(beta=0.0, eta=1.0, r=1.0)
+    for name in ("beta", "eta", "r"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            AdmmParams(**{"beta": 1.0, "eta": 1.0, "r": 1.0, name: np.inf})
 
 
 def test_metric_positive_definite(fused):

@@ -206,12 +206,17 @@ def test_nonsmooth_validation():
         NonsmoothSpec(weight=1.0, kind="group_lasso")
     with pytest.raises(ValueError):
         NonsmoothSpec(weight=-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        NonsmoothSpec(weight=math.inf)
 
 
 def test_problem_validation(tiny_dataset):
     cs = _identity(3)
     with pytest.raises(ValueError, match="columns"):
         ProblemInstance(tiny_dataset, "logistic", 0.0, cs, NonsmoothSpec(0.0))
+    d = tiny_dataset.d
+    with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+        ProblemInstance(tiny_dataset, "logistic", math.inf, _identity(d), NonsmoothSpec(0.0))
     with pytest.raises(UnsupportedProblemError):
         d = tiny_dataset.d
         ProblemInstance(

@@ -65,7 +65,7 @@ def test_scheduler_params_validation():
     with pytest.raises(ValueError):
         _sp(tau_init=-0.1)
     # finite constants only: with sigma2 = 0, an infinite one made 0 * inf = NaN
-    for name in ("c_tau", "c_eps", "epsilon", "tau_init"):
+    for name in ("c_tau", "c_eps", "epsilon", "sigma2", "tau_init"):
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             _sp(**{name: math.inf})
     with pytest.raises(ValueError):

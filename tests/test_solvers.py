@@ -4,7 +4,7 @@ import pytest
 import absadmm.solvers as solvers
 from absadmm.errors import DivergenceError
 from absadmm.kernel import AdmmParams, make_admm_params
-from absadmm.problems import build_fused_logistic
+from absadmm.problems import batch_mean_grads, build_fused_logistic
 from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, SolverConfig, run
 
@@ -589,3 +589,52 @@ def test_whole_set_anchor_reuses_the_evaluation_gradient(fused, monkeypatch, met
     sparse = run(fused, dataclasses.replace(cfg, eval_stride=3)).trace
     got = [r.objective for r in sparse if r.objective is not None]
     assert got == [FULL_BATCH_OBJECTIVES[i] for i in (2, 5, 7)]
+
+
+@pytest.mark.parametrize(
+    "method", ["svrg_admm", "svrg_admm_adaptive", "spider_admm", "spider_admm_adaptive"]
+)
+def test_vr_reference_policy(fused, monkeypatch, method):
+    # every row's v, recomputed from the row's recorded draws, is bitwise
+    # equal: svrg against its window's anchor point, spider against the
+    # previous iterate and estimate
+    window, draws, rows = 4, [], []
+    real_sample = solvers.sample_indices
+
+    def spy_sample(n, size, mode, rng):
+        idx = real_sample(n, size, mode, rng)
+        draws.append((mode, idx.copy()))
+        return idx
+
+    def monitor(info):
+        rows.append((info, list(draws)))
+        draws.clear()
+
+    monkeypatch.setattr(solvers, "sample_indices", spy_sample)
+    run(fused, _config(fused, method, T=window, q=window, max_iters=24), step_monitor=monitor)
+    monkeypatch.undo()
+
+    assert len(rows) == 24
+    svrg = method.startswith("svrg")
+    anchor_sizes = set()
+    for info, row_draws in rows:
+        x = info.x_old
+        modes = [mode for mode, _ in row_draws]
+        if info.k % window == 0:
+            assert modes == ["without_replacement"] + ["with_replacement"] * svrg
+            anchor = np.sort(row_draws[0][1])
+            anchor_sizes.add(anchor.size)
+            ref_x, ref_grad = x, batch_mean_grads(fused, (x,), anchor)[0]
+            expected = ref_grad
+        else:
+            assert modes == ["with_replacement"]
+        if modes[-1] == "with_replacement":
+            g_x, g_ref = batch_mean_grads(fused, (x, ref_x), np.sort(row_draws[-1][1]))
+            expected = g_x - g_ref + ref_grad
+        assert np.array_equal(info.v, expected)
+        if not svrg:
+            ref_x, ref_grad = x, info.v
+    # the static anchors are the whole set, which shares an evaluation's
+    # gradient; the adaptive ones also gather partial batches
+    assert max(anchor_sizes) == fused.n
+    assert (min(anchor_sizes) < fused.n) == method.endswith("_adaptive")
