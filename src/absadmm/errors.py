@@ -21,7 +21,8 @@ class DivergenceError(RuntimeError):
     """Raised when a solver iterate or an evaluation becomes non-finite.
 
     Carries the trace collected up to (not including) the bad iteration and,
-    when the solver raises it, where the run broke down: ``block`` is the
+    when the solver raises it, the run's oracle ledger ``tally`` (the bad
+    row's charges included) and where the run broke down: ``block`` is the
     first non-finite block in update order ("y", "x" or "lam"), or
     "stationarity" when the iterates are finite but the row's evaluated
     objective or stationarity is not; ``row`` is the 1-based iteration,
@@ -35,6 +36,7 @@ class DivergenceError(RuntimeError):
         message,
         trace=None,
         *,
+        tally=None,
         block=None,
         row=None,
         batch_size=None,
@@ -43,6 +45,7 @@ class DivergenceError(RuntimeError):
     ):
         super().__init__(message)
         self.trace = trace if trace is not None else []
+        self.tally = tally
         self.block = block
         self.row = row
         self.batch_size = batch_size

@@ -21,7 +21,7 @@ from . import __version__
 from .advisor import estimate_L
 from .datasets import d_hint_fault, load_libsvm
 from .errors import ConfigError, DivergenceError, SplitError
-from .estimators import estimate_sigma2
+from .estimators import OracleTally, estimate_sigma2
 from .kernel import make_admm_params, stationarity
 from .problems import build_fused_logistic, build_graph_guided, objective
 from .schedulers import SchedulerParams
@@ -38,14 +38,18 @@ __all__ = [
     "parse_trace_csv",
 ]
 
-_TOP_KEYS = (
-    "dataset", "problem", "budget", "split", "seed", "repeats", "eval_stride", "sigma2", "methods"
-)
-_SECTION_KEYS = {
-    "dataset": ("path", "d_hint", "normalize"),
-    "problem": ("kind", "l1", "l2", "corr_threshold"),
-    "budget": ("max_iters", "oracle_budget", "target_epsilon"),
-    "split": ("enabled",),
+# the file key of each ExperimentConfig field but methods: section -> {key: field},
+# with "" for the top level
+_CONFIG_KEYS = {
+    "": {"seed": "seed", "repeats": "repeats", "eval_stride": "eval_stride", "sigma2": "sigma2"},
+    "dataset": {"path": "dataset_path", "d_hint": "d_hint", "normalize": "normalize"},
+    "problem": {"kind": "problem_kind", "l1": "l1", "l2": "l2", "corr_threshold": "corr_threshold"},
+    "budget": {
+        "max_iters": "max_iters",
+        "oracle_budget": "oracle_budget",
+        "target_epsilon": "target_epsilon",
+    },
+    "split": {"enabled": "split"},
 }
 
 # libyaml's parser and emitter when PyYAML was built with them: the same
@@ -79,6 +83,7 @@ class ExperimentConfig:
     problem_kind: str  # "fused_logistic" or "graph_guided"
     l1: float
     methods: tuple
+    max_iters: int
     seed: int = 0
     repeats: int = 5
     d_hint: Optional[int] = None
@@ -86,7 +91,6 @@ class ExperimentConfig:
     split: bool = True
     l2: float = 0.0
     corr_threshold: float = 0.7
-    max_iters: int = 100
     oracle_budget: Optional[int] = None
     target_epsilon: Optional[float] = None
     eval_stride: Optional[int] = None
@@ -183,22 +187,6 @@ def parse_trace_csv(path):
     return out
 
 
-def _need(mapping, key, path):
-    if key not in mapping or mapping[key] is None:
-        raise ConfigError(f"missing required config key {path}.{key}")
-    return mapping[key]
-
-
-def _section(doc, key):
-    val = doc.get(key, {})
-    if val is None:
-        val = {}
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section {key!r} must be a mapping")
-    _reject_unknown(val, _SECTION_KEYS[key], key)
-    return val
-
-
 def _reject_unknown(mapping, allowed, where):
     unknown = set(mapping) - set(allowed)
     if unknown:
@@ -206,22 +194,20 @@ def _reject_unknown(mapping, allowed, where):
 
 
 def _int(value, key):
-    """An integer config value (None passes through); never truncates."""
+    """An integer config value; never truncates."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def _float(value, key):
-    """A real config value (None passes through); a boolean is not read as 0 or 1.
+    """A real config value; a boolean is not read as 0 or 1.
 
     Strings go through float(): PyYAML reads 1e-3 (no dot) as the string '1e-3'.
     A value that float() cannot read is a config error that names the key.
     """
-    if value is None:
-        return None
     if not isinstance(value, bool):
         try:
             return float(value)
@@ -236,8 +222,41 @@ def _bool(value, key):
     return value
 
 
+# the reader of each config field type; a null never reaches one
+_READERS = {int: _int, Optional[int]: _int, float: _float, Optional[float]: _float, bool: _bool}
+_READERS[str] = lambda value, key: str(value)
+
+
+def _read(field, value, path, key):
+    """Read config ``value`` by its dataclass ``field``'s type and default.
+
+    A null counts as an absent key: it takes the field's default, or is the
+    missing required key ``path`` when the field has none.  A value of the
+    wrong type is a config error that names ``key``.
+    """
+    if value is None:
+        if field.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {path}")
+        return field.default
+    return _READERS[field.type](value, key)
+
+
+def _method(entry, where):
+    """One methods entry, read field by field as a MethodSpec."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    fields = dataclasses.fields(MethodSpec)
+    _reject_unknown(entry, [f.name for f in fields], where)
+    values = {}
+    for f in fields:
+        values[f.name] = _read(f, entry.get(f.name), f"{where}.{f.name}", f"{where}: {f.name}")
+    if values["name"] not in METHODS:
+        raise ConfigError(f"{where}.name {values['name']!r} not one of {METHODS}")
+    return MethodSpec(**values)
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config."""
+    """Parse a YAML experiment config, reading each key by its dataclass field."""
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
@@ -248,72 +267,39 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     # older configs say workers: 1, so that value still loads
-    workers = _int(doc.pop("workers", 1), "workers")
-    if workers != 1:
+    workers = doc.pop("workers", None)
+    if workers is not None and _int(workers, "workers") != 1:
         raise ConfigError(f"workers must be 1, got {workers!r}: the grid runs in one process")
-    _reject_unknown(doc, _TOP_KEYS, "config")
+    _reject_unknown(doc, [*_CONFIG_KEYS[""], *_CONFIG_KEYS, "methods"], "config")
 
-    ds = _section(doc, "dataset")
-    prob = _section(doc, "problem")
-    budget = _section(doc, "budget")
-    split = _section(doc, "split")
-
-    kind = _need(prob, "kind", "problem")
-    if kind not in ("fused_logistic", "graph_guided"):
-        raise ConfigError(f"unknown problem.kind {kind!r}")
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
+    for section, keys in _CONFIG_KEYS.items():
+        mapping = doc
+        if section:
+            mapping = doc.get(section)
+            if mapping is None:
+                mapping = {}
+            if not isinstance(mapping, dict):
+                raise ConfigError(f"config section {section!r} must be a mapping")
+            _reject_unknown(mapping, keys, section)
+        for key, name in keys.items():
+            where = f"{section}.{key}" if section else key
+            values[name] = _read(fields[name], mapping.get(key), where, where)
+    if values["problem_kind"] not in ("fused_logistic", "graph_guided"):
+        raise ConfigError(f"unknown problem.kind {values['problem_kind']!r}")
 
     raw_methods = doc.get("methods")
     if not raw_methods or not isinstance(raw_methods, list):
         raise ConfigError("config must list at least one method under 'methods'")
-    allowed = {f.name for f in dataclasses.fields(MethodSpec)}
-    methods = []
-    for i, entry in enumerate(raw_methods):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"methods[{i}] must be a mapping")
-        _reject_unknown(entry, allowed, f"methods[{i}]")
-        name = _need(entry, "name", f"methods[{i}]")
-        if name not in METHODS:
-            raise ConfigError(f"methods[{i}].name {name!r} not one of {METHODS}")
-        try:
-            methods.append(
-                MethodSpec(
-                    name=name,
-                    beta=_float(_need(entry, "beta", f"methods[{i}]"), "beta"),
-                    eta=_float(_need(entry, "eta", f"methods[{i}]"), "eta"),
-                    r=_float(entry.get("r"), "r"),
-                    c_tau=_float(entry.get("c_tau", 1.0), "c_tau"),
-                    c_eps=_float(entry.get("c_eps", 1.0), "c_eps"),
-                    epsilon=_float(entry.get("epsilon", 1e-3), "epsilon"),
-                    tau_init=_float(entry.get("tau_init", 0.0), "tau_init"),
-                    b=_int(entry.get("b", 1), "b"),
-                    T=_int(entry.get("T", 1), "T"),
-                    q=_int(entry.get("q", 1), "q"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"methods[{i}]: {exc}") from exc
-
-    try:
-        return ExperimentConfig(
-            dataset_path=str(_need(ds, "path", "dataset")),
-            d_hint=_int(ds.get("d_hint"), "dataset.d_hint"),
-            normalize=_bool(ds.get("normalize", False), "dataset.normalize"),
-            split=_bool(split.get("enabled", True), "split.enabled"),
-            problem_kind=kind,
-            l1=_float(_need(prob, "l1", "problem"), "problem.l1"),
-            l2=_float(prob.get("l2", 0.0), "problem.l2"),
-            corr_threshold=_float(prob.get("corr_threshold", 0.7), "problem.corr_threshold"),
-            methods=tuple(methods),
-            seed=_int(doc.get("seed", 0), "seed"),
-            repeats=_int(doc.get("repeats", 5), "repeats"),
-            max_iters=_int(_need(budget, "max_iters", "budget"), "budget.max_iters"),
-            oracle_budget=_int(budget.get("oracle_budget"), "budget.oracle_budget"),
-            target_epsilon=_float(budget.get("target_epsilon"), "budget.target_epsilon"),
-            eval_stride=_int(doc.get("eval_stride"), "eval_stride"),
-            sigma2=_float(doc.get("sigma2"), "sigma2"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(raw_methods))
+    # each cell writes trace_<name>_rep<k>.csv, so a repeated name would
+    # overwrite the first entry's traces
+    names = [m.name for m in methods]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"methods[{i}].name {name!r} repeats methods[{names.index(name)}]")
+    return ExperimentConfig(methods=methods, **values)
 
 
 def _validate(cfg: ExperimentConfig):
@@ -358,39 +344,29 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     if test_problem is not None:
         test_fn = lambda x: objective(test_problem, x)  # noqa: E731
     t0 = time.perf_counter()
-    diverged = False
     try:
         result = run(problem, solver_cfg, test_objective=test_fn)
-        trace, state = result.trace, result.state
-    except DivergenceError as exc:
-        trace, state = exc.trace, None
-        diverged = True
+        trace, tally, diverged = result.trace, result.state.tally, False
+    except DivergenceError as exc:  # its tally holds what the run was charged
+        trace, tally, diverged = exc.trace, exc.tally or OracleTally(), True
     wall_ms = (time.perf_counter() - t0) * 1e3
     emit_trace_csv(trace, trace_path)
     if diverged:
-        final_obj = float("nan")
-        final_stat = float("nan")
-        solver_calls = trace[-1].oracle_calls if trace else 0
-        eval_calls = 0
-        iterations = len(trace)
-    else:
-        if trace:  # the stopping row is always an evaluation row
-            final_obj, final_stat = trace[-1].objective, trace[-1].stationarity
-        else:  # max_iters: 0
-            report = stationarity(problem, state)
-            state.tally.eval_calls += problem.n
-            final_obj, final_stat = report.objective, report.total
-        solver_calls = state.tally.solver_calls
-        eval_calls = state.tally.eval_calls
-        iterations = state.k
+        final_obj = final_stat = float("nan")
+    elif trace:  # the stopping row is always an evaluation row
+        final_obj, final_stat = trace[-1].objective, trace[-1].stationarity
+    else:  # max_iters: 0
+        report = stationarity(problem, result.state)
+        tally.eval_calls += problem.n
+        final_obj, final_stat = report.objective, report.total
     cap_hits = sum(1 for rec in trace if rec.batch_size >= problem.n)
     return RunRow(
         method=solver_cfg.method,
         repeat=rep,
         seed=solver_cfg.seed,
-        iterations=iterations,
-        solver_calls=solver_calls,
-        eval_calls=eval_calls,
+        iterations=len(trace),
+        solver_calls=tally.solver_calls,
+        eval_calls=tally.eval_calls,
         final_objective=final_obj,
         final_stationarity=final_stat,
         batch_cap_hits=cap_hits,

@@ -146,7 +146,7 @@ class StepInfo:
     lam_new: np.ndarray
 
 
-def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace):
+def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace, tally):
     """Build the DivergenceError for a non-finite ``block`` on ``row``."""
     with np.errstate(all="ignore"):
         dx = x_new - x_old
@@ -158,6 +158,7 @@ def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace):
         f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
         f"last finite stationarity {last_text})",
         trace=trace,
+        tally=tally,
         block=block,
         row=row,
         batch_size=batch_size,
@@ -226,7 +227,9 @@ def run(
         lam_new = dual_step(p, admm, x_new, y_new, state.lam, ax=ax)
         for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
             if not np.isfinite(arr).all():
-                raise _diverged(block, row, batch_col, x_old, x_new, last_stationarity, trace)
+                raise _diverged(
+                    block, row, batch_col, x_old, x_new, last_stationarity, trace, tally
+                )
         if step_monitor is not None:
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
@@ -247,7 +250,7 @@ def run(
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
                 raise _diverged(
-                    "stationarity", row, batch_col, x_old, x_new, last_stationarity, trace
+                    "stationarity", row, batch_col, x_old, x_new, last_stationarity, trace, tally
                 )
             full_grad, last_stationarity = report.grad, stat_total
             if test_objective is not None:

@@ -1,12 +1,15 @@
 import dataclasses
 import gzip
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 import yaml
 
 import absadmm.experiment as experiment
+import absadmm.solvers as solvers
 from absadmm.cli import main
 from absadmm.errors import ConfigError, DivergenceError
 from absadmm.datasets import dump_libsvm
@@ -185,6 +188,126 @@ def test_load_config_root_not_mapping(tmp_path):
     path.write_text("- a\n- b\n")
     with pytest.raises(ConfigError, match="root must be a mapping"):
         load_config(str(path))
+
+
+def _field_default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+def _set_null(doc, where):
+    """Set the key at path ``where`` (section, method index, key) of ``doc`` to null."""
+    *parents, key = where
+    for part in parents:
+        doc = doc[part]
+    doc[key] = None
+
+
+# a null counts as an absent key: each of these loads its field's default;
+# methods[1] is svrg_admm_adaptive, whose entry sets b, T, c_eps, epsilon and
+# tau_init away from their defaults
+_NULL_DEFAULTED = [
+    (("seed",), "seed"),
+    (("repeats",), "repeats"),
+    (("eval_stride",), "eval_stride"),
+    (("sigma2",), "sigma2"),
+    (("dataset", "d_hint"), "d_hint"),
+    (("dataset", "normalize"), "normalize"),
+    (("problem", "l2"), "l2"),
+    (("problem", "corr_threshold"), "corr_threshold"),
+    (("budget", "oracle_budget"), "oracle_budget"),
+    (("budget", "target_epsilon"), "target_epsilon"),
+    (("split", "enabled"), "split"),
+    (("split",), "split"),
+] + [
+    (("methods", 1, key), key)
+    for key in ("r", "c_tau", "c_eps", "epsilon", "tau_init", "b", "T", "q")
+]
+
+# ... and each of these is a missing required key, named as in the message
+_NULL_REQUIRED = [
+    (("dataset", "path"), "dataset.path"),
+    (("dataset",), "dataset.path"),
+    (("problem", "kind"), "problem.kind"),
+    (("problem", "l1"), "problem.l1"),
+    (("problem",), "problem.kind"),
+    (("budget", "max_iters"), "budget.max_iters"),
+    (("budget",), "budget.max_iters"),
+    (("methods", 0, "name"), "methods[0].name"),
+    (("methods", 1, "beta"), "methods[1].beta"),
+    (("methods", 0, "eta"), "methods[0].eta"),
+]
+
+
+def _null_id(where):
+    return ".".join(str(part) for part in where)
+
+
+@pytest.mark.parametrize(
+    "where, name", _NULL_DEFAULTED, ids=[_null_id(case[0]) for case in _NULL_DEFAULTED]
+)
+def test_null_loads_the_field_default(tmp_path, data_file, capsys, where, name):
+    doc = _config_doc(data_file)
+    _set_null(doc, where)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    cfg = load_config(str(path))
+    if where[0] == "methods":
+        assert getattr(cfg.methods[1], name) == _field_default(MethodSpec, name)
+    else:
+        assert getattr(cfg, name) == _field_default(ExperimentConfig, name)
+    # ... and so does the run it configures
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_null_workers_loads(config_file):
+    assert load_config(config_file(workers=None)).methods
+
+
+@pytest.mark.parametrize(
+    "where, key", _NULL_REQUIRED, ids=[_null_id(case[0]) for case in _NULL_REQUIRED]
+)
+def test_null_required_key_is_missing(tmp_path, data_file, capsys, where, key):
+    doc = _config_doc(data_file)
+    _set_null(doc, where)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=rf"^missing required config key {re.escape(key)}$"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: missing required config key {key}\n"
+
+
+def test_duplicate_method_names_are_rejected(tmp_path, data_file, capsys):
+    # both entries would write trace_sadmm_rep<k>.csv, the second over the first
+    doc = _config_doc(data_file)
+    doc["methods"].append({"name": "sadmm", "beta": 2.0, "eta": 0.25})
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    want = r"methods\[2\]\.name 'sadmm' repeats methods\[0\]"
+    with pytest.raises(ConfigError, match=want):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert re.match(f"config error: {want}", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_schema():
+    """The YAML block under "Config schema (YAML):" in README.md."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text.split("Config schema (YAML):", 1)[1]
+    return after.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_schema_block_loads(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text(_readme_schema())
+    cfg = load_config(str(path))
+    assert cfg.max_iters == 500
+    assert [m.name for m in cfg.methods] == ["sadmm", "sadmm_adaptive", "svrg_admm_adaptive"]
+    assert cfg.methods[1].c_eps == 3.0
+    assert cfg.methods[2].b == 64 and cfg.methods[2].T == 10
+    assert cfg.normalize is True and cfg.oracle_budget is None
 
 
 def test_run_experiment_artifacts(tmp_path, config_file):
@@ -379,6 +502,52 @@ def test_all_diverged_reported(tmp_path, config_file, monkeypatch):
     assert summary.aggregates["sadmm"] == {"runs": 0, "diverged": 2}
     # empty traces still leave well-formed files behind
     assert parse_trace_csv(str(out / "trace_sadmm_rep0.csv")) == []
+
+
+def _diverge_at_row(monkeypatch, module, name, k, spoil):
+    """Patch ``module.name`` so that its k-th call returns ``spoil(result)``."""
+    real, calls = getattr(module, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return spoil(out) if len(calls) == k else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+@pytest.mark.parametrize("block", ["x", "stationarity"])
+def test_diverged_cell_counts_its_evaluations(tmp_path, make_dataset, monkeypatch, block):
+    # 100 train rows, an evaluation every 5th row; row 30 goes non-finite, so
+    # rows 5, ..., 25 were evaluated, and a stationarity failure on row 30 was
+    # charged for its evaluation too
+    data = tmp_path / "toy.txt"
+    data.write_text(dump_libsvm(make_dataset(100, 4, seed=5)))
+    doc = _config_doc(
+        str(data),
+        split={"enabled": False},
+        budget={"max_iters": 50},
+        eval_stride=5,
+        repeats=1,
+        methods=[{"name": "sadmm", "beta": 1.0, "eta": 0.5}],
+    )
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    if block == "x":
+        _diverge_at_row(monkeypatch, solvers, "x_step", 30, lambda x: np.full_like(x, np.nan))
+        charged_evaluations = 5
+    else:
+        nan_objective = lambda rep: dataclasses.replace(rep, objective=math.nan)  # noqa: E731
+        _diverge_at_row(monkeypatch, solvers, "stationarity", 6, nan_objective)
+        charged_evaluations = 6
+    summary = run_experiment(load_config(str(path)), str(tmp_path / "out"))
+    (row,) = summary.rows
+    trace = parse_trace_csv(row.trace_path)
+    assert row.diverged and row.iterations == len(trace) == 29
+    assert sum(rec.objective is not None for rec in trace) == 5
+    assert row.eval_calls == 100 * charged_evaluations
+    # the ledger also holds the solver calls of the row that broke down
+    assert row.solver_calls == 30 * trace[0].batch_size
 
 
 def test_cli_list_methods(capsys):

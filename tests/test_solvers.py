@@ -288,6 +288,10 @@ def test_divergence_names_block_row_batch_and_step(fused):
         assert exc.dx_sq == np.inf
         assert exc.last_stationarity == (evaluated[-1] if evaluated else None)
         assert np.isfinite(evaluated).all() and bool(evaluated) == (eval_stride == 1)
+        # the ledger holds the bad row's gradients and, at the stationarity
+        # block, the charge of the evaluation that came out non-finite
+        assert exc.tally.solver_calls == exc.row * exc.batch_size
+        assert exc.tally.eval_calls == ridged.n * (len(evaluated) + (block == "stationarity"))
         message = str(exc)
         assert f"non-finite {what} at iteration {exc.row}: block {block}" in message
         assert f"batch size {exc.batch_size}" in message
