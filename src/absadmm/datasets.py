@@ -6,6 +6,8 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -479,10 +481,10 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     blocks = []
     lines = 0
 
-    def collect(future):
+    def collect(result):
         nonlocal lines
         try:
-            *parsed, breaks = future.result()
+            *parsed, breaks = result()
         except _BadToken as bad:
             code, line, token = bad.args
             raise ParseError(_message(code, lines + line, token, d_hint)) from None
@@ -490,15 +492,26 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
         lines += breaks
 
     # Blocks are collected in file order, so the first bad line of the file is
-    # the one reported.
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        jobs = deque()
-        for buf in _line_blocks(stream):
-            if len(jobs) == _WORKERS:
-                collect(jobs.popleft())
-            jobs.append(pool.submit(_parse_block, buf, d_hint))
-        while jobs:
-            collect(jobs.popleft())
+    # the one reported.  A stream of one block is parsed on this thread: the
+    # pool would cost more than the parse.
+    bufs = _line_blocks(stream)
+    head = list(islice(bufs, 2))
+    if len(head) < 2:
+        for buf in head:
+            collect(partial(_parse_block, buf, d_hint))
+    else:
+        # once chained, the list goes with its iterator, so only the pool's
+        # jobs hold the first two blocks
+        bufs = chain(head, bufs)
+        del head
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            jobs = deque()
+            for buf in bufs:
+                if len(jobs) == _WORKERS:
+                    collect(jobs.popleft().result)
+                jobs.append(pool.submit(_parse_block, buf, d_hint))
+            while jobs:
+                collect(jobs.popleft().result)
     n = sum(labels.size for labels, _, _, _ in blocks)
     if n == 0:
         raise ParseError("no data lines found")

@@ -4,10 +4,10 @@ The problem is split as Ax - y = 0, and A enters only through the
 constraint's O(nnz) products ``matvec`` (A x) and ``rmatvec`` (A^T u).  Each
 step accepts A x of its x argument as ``ax`` and forms it when not given; the
 solver carries A x_{k+1} from each dual step into the next y and x steps, so
-an iteration forms one ``matvec``.  The x update minimizes the linearization
-of the augmented Lagrangian around x_k under the metric
-G = r*I - beta*eta*A^T A, which reduces to the closed form
-x_{k+1} = x_k - (eta/r) * (v - A^T lam + beta * A^T (A x_k - y_{k+1})), so no
+an iteration forms one ``matvec`` and, in the x step, one ``rmatvec``.  The
+x update minimizes the linearization of the augmented Lagrangian around x_k
+under the metric G = r*I - beta*eta*A^T A, which reduces to the closed form
+x_{k+1} = x_k - (eta/r) * (v + A^T (beta * (A x_k - y_{k+1}) - lam)), so no
 linear solve is required.  The default r = beta*eta*||A^T A|| + 1 uses the
 constraint's exact spectrum, so the smallest eigenvalue of G is 1.
 """
@@ -100,8 +100,7 @@ def y_step(p: ProblemInstance, params: AdmmParams, x, lam, ax=None):
 
 def x_step(p: ProblemInstance, params: AdmmParams, x, y_new, lam, v, ax=None):
     """Linearized x update given gradient estimate v."""
-    cs = p.constraint
-    step = v - cs.rmatvec(lam) + params.beta * cs.rmatvec(_ax(p, x, ax) - y_new)
+    step = v + p.constraint.rmatvec(params.beta * (_ax(p, x, ax) - y_new) - lam)
     return x - (params.eta / params.r) * step
 
 

@@ -3,7 +3,9 @@
 The smooth part f is a finite-sum loss (logistic or sigmoid) plus an optional
 ridge term; the nonsmooth part g is a weighted L1 penalty on y = Ax.  A is
 stored as COO triplets and applied in O(nnz); both built-in families make it
-sparse (a difference matrix, or edge rows stacked over the identity).
+sparse (a difference matrix, or edge rows stacked over the identity), and
+their builders return ``ConstraintSpec`` subclasses whose products read that
+structure from the triplets instead of scattering through them.
 """
 
 import math
@@ -43,7 +45,9 @@ class ConstraintSpec:
     B = -I and c = 0 are implied, so the penalty acts on y = Ax.  Entries that
     repeat a (row, col) pair add up.  The extreme eigenvalues of A^T A are
     computed once, here, and cached as ``spectrum`` = (smallest, largest).
-    Equality and hashing are by identity.
+    Equality and hashing are by identity.  ``matvec`` and ``rmatvec`` scatter
+    through the triplets; the two built-in builders return subclasses that
+    override only these two products to use their own layout.
     """
 
     rows: np.ndarray
@@ -99,6 +103,38 @@ class ConstraintSpec:
         return A
 
 
+class _DifferenceMatrix(ConstraintSpec):
+    """The triplets of ``build_difference_matrix``: (A x)_i = x_i - x_{i+1},
+    and the last row reads x_{d-1} alone."""
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        out = x.astype(np.float64)
+        out[:-1] -= x[1:]
+        return out
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        out = u.astype(np.float64)
+        out[1:] -= u[:-1]
+        return out
+
+
+class _GraphIncidence(ConstraintSpec):
+    """The triplets of ``build_graph_guided``: the e edge rows' heads, then
+    their tails, then the identity, so ``cols`` holds heads and tails as
+    contiguous blocks and A x = [x[heads] - x[tails]; x]."""
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        e = self.m - self.d1
+        return np.concatenate([x[self.cols[:e]] - x[self.cols[e : 2 * e]], x])
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        e = self.m - self.d1
+        # u's identity block first: bincount of no edges gives integer zeros
+        out = u[e:] + np.bincount(self.cols[:e], u[:e], minlength=self.d1)
+        out -= np.bincount(self.cols[e : 2 * e], u[:e], minlength=self.d1)
+        return out
+
+
 @dataclass(frozen=True)
 class NonsmoothSpec:
     """Nonsmooth penalty g; only the weighted L1 norm is supported."""
@@ -141,9 +177,15 @@ class ProblemInstance:
         return self.dataset.n
 
 
+def _clamp(z: np.ndarray) -> np.ndarray:
+    """z clamped to [-Z_CLIP, Z_CLIP] in a new array; bitwise ``np.clip``."""
+    z = np.maximum(z, -Z_CLIP)
+    return np.minimum(z, Z_CLIP, out=z)
+
+
 def _loss_slopes(loss: str, z: np.ndarray) -> np.ndarray:
     """d loss / d z at margin z, with z clamped to avoid overflow."""
-    z = np.clip(z, -Z_CLIP, Z_CLIP)
+    z = _clamp(z)
     ez = np.exp(z)
     if loss == "logistic":
         return -1.0 / (1.0 + ez)
@@ -152,7 +194,7 @@ def _loss_slopes(loss: str, z: np.ndarray) -> np.ndarray:
 
 
 def _loss_values(loss: str, z: np.ndarray) -> np.ndarray:
-    z = np.clip(z, -Z_CLIP, Z_CLIP)
+    z = _clamp(z)
     if loss == "logistic":
         return np.logaddexp(0.0, -z)
     return 1.0 / (1.0 + np.exp(z))
@@ -233,7 +275,7 @@ def build_difference_matrix(d: int) -> ConstraintSpec:
     if d < 1:
         raise ValueError("d must be at least 1")
     diag, sup = np.arange(d), np.arange(d - 1)
-    return ConstraintSpec(
+    return _DifferenceMatrix(
         rows=np.concatenate([diag, sup]),
         cols=np.concatenate([diag, sup + 1]),
         vals=np.concatenate([np.ones(d), -np.ones(d - 1)]),
@@ -280,10 +322,11 @@ def build_graph_guided(
         keep = np.abs(corr[heads, tails]) >= corr_threshold
         heads, tails = heads[keep], tails[keep]
     e = heads.size
-    cs = ConstraintSpec(
-        rows=np.concatenate([np.repeat(np.arange(e), 2), e + np.arange(d)]),
-        cols=np.concatenate([np.column_stack([heads, tails]).ravel(), np.arange(d)]),
-        vals=np.concatenate([np.tile([1.0, -1.0], e), np.ones(d)]),
+    edges = np.arange(e)
+    cs = _GraphIncidence(
+        rows=np.concatenate([edges, edges, e + np.arange(d)]),
+        cols=np.concatenate([heads, tails, np.arange(d)]),
+        vals=np.concatenate([np.ones(e), -np.ones(e), np.ones(d)]),
         m=e + d,
         d1=d,
     )

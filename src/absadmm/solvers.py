@@ -23,8 +23,13 @@ updates in the fixed order y -> x -> dual.
 Only evaluation rows touch the whole data set: one pass there gives the
 objective and the stationarity residual together.  Every other row costs its
 batch plus the O(nnz(A)) kernel products: the loop carries A x from each dual
-step into the next y and x steps, so a row forms one ``matvec`` and two
-``rmatvec``s.  The row that stops a run is always an evaluation row.
+step into the next y and x steps, so a row forms one ``matvec`` and one
+``rmatvec``.  The row that stops a run is always an evaluation row.
+
+Each row tests only lam_{k+1} for non-finite values: a non-finite y_{k+1}
+enters it directly, and a non-finite x_{k+1} through A x_{k+1}, since every
+column of A holds a stored entry.  When the test fails, the error names the
+first non-finite block in update order.
 
 An evaluation's pass also yields the exact gradient at x_{k+1}.  When the
 next row draws a whole-set anchor at that same point, ``minibatch_grad``
@@ -225,11 +230,15 @@ def run(
         x_new = x_step(p, admm, x_old, y_new, state.lam, v, ax=ax)
         ax = A.matvec(x_new)
         lam_new = dual_step(p, admm, x_new, y_new, state.lam, ax=ax)
-        for block, arr in (("y", y_new), ("x", x_new), ("lam", lam_new)):
-            if not np.isfinite(arr).all():
-                raise _diverged(
-                    block, row, batch_col, x_old, x_new, last_stationarity, trace, tally
-                )
+        # a non-finite y or x reaches lam through A x - y, so one test covers
+        # all three; only a failure looks for the first bad block
+        if not np.isfinite(lam_new).all():
+            block = next(
+                name
+                for name, arr in (("y", y_new), ("x", x_new), ("lam", lam_new))
+                if not np.isfinite(arr).all()
+            )
+            raise _diverged(block, row, batch_col, x_old, x_new, last_stationarity, trace, tally)
         if step_monitor is not None:
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)

@@ -397,6 +397,27 @@ def test_no_worker_outlives_a_load(tmp_path, monkeypatch):
     assert threading.active_count() == before
 
 
+
+def test_one_block_parses_on_the_calling_thread(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    submitted = []
+    real = ThreadPoolExecutor.submit
+
+    def submit(self, *args, **kwargs):
+        submitted.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    assert parse_libsvm(b"+1 1:0.5\n-1 2:1\n").n == 2
+    with pytest.raises(ParseError, match="line 2: malformed pair"):
+        parse_libsvm(b"+1 1:0.5\n+1 1:x\n")
+    assert submitted == []
+    # two blocks or more still go to the pool
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
+    assert parse_libsvm(_LINE * 40).n == 40
+    assert submitted
+
 # -- memory ------------------------------------------------------------------------------
 
 

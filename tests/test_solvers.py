@@ -300,6 +300,37 @@ def test_divergence_names_block_row_batch_and_step(fused):
         assert f"last finite stationarity {last_text}" in message
 
 
+@pytest.mark.parametrize("target, block", [("y_step", "y"), ("dual_step", "lam")])
+def test_divergence_names_the_first_non_finite_block(fused, monkeypatch, target, block):
+    # a NaN from the y step reaches x and lam too, one from the dual step
+    # only lam; each row tests lam alone, and the error still names the
+    # first non-finite block in update order
+    real = getattr(solvers, target)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(target)
+        if len(calls) == 4:
+            out = out.copy()
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(solvers, target, poisoned)
+    cfg = _config(fused, "sadmm", max_iters=30, eval_stride=1000)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as exc_info:
+            run(fused, cfg)
+    exc = exc_info.value
+    assert (exc.block, exc.row, len(exc.trace)) == (block, 4, 3)
+    assert exc.batch_size == adaptive_batch(cfg.sched, 0.0)
+    assert np.isfinite(exc.dx_sq) == (block == "lam")
+    assert exc.last_stationarity is None
+    assert exc.tally.solver_calls == exc.row * exc.batch_size
+    assert exc.tally.eval_calls == 0
+    assert f"non-finite iterate at iteration 4: block {block}" in str(exc)
+
+
 def test_non_finite_stationarity_stops_the_run(fused):
     # the iterates stay finite for hundreds of rows after the objective has
     # overflowed (first inf evaluation at row 254, first inf iterate at row
@@ -514,25 +545,36 @@ def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, met
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_constraint_matvec_per_row(make_dataset, monkeypatch, method):
-    from absadmm.problems import ConstraintSpec
+    from absadmm.problems import build_graph_guided
 
-    p = build_fused_logistic(make_dataset(200, 5, seed=3), 0.02)
-    sched = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002)
-    log = []
-    real = ConstraintSpec.matvec
+    ds = make_dataset(200, 5, seed=3)
+    problems = (build_fused_logistic(ds, 0.02), build_graph_guided(ds, 0.02, 0.01, 0.05))
+    assert problems[1].constraint.m > ds.d  # the graph has edge rows
+    for p in problems:
+        sched = SchedulerParams(
+            c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=0.002
+        )
+        log = []
+        # the built-in constraints override the products, so spy on their own class
+        spec = type(p.constraint)
+        for name in ("matvec", "rmatvec"):
+            real = getattr(spec, name)
 
-    def matvec(self, x):
-        log.append("matvec")
-        return real(self, x)
+            def product(self, x, real=real, name=name):
+                log.append(name)
+                return real(self, x)
 
-    monkeypatch.setattr(ConstraintSpec, "matvec", matvec)
-    # the stride never falls inside the run, so only the stopping row evaluates
-    cfg = _config(p, method, sched=sched, max_iters=12, b=3, T=5, q=4, eval_stride=1000)
-    run(p, cfg, step_monitor=lambda info: log.append(info.k + 1))
-    rows = [i for i, item in enumerate(log) if item != "matvec"]
-    assert [log[i] for i in rows] == list(range(1, 13))
-    starts = [-1] + rows[:-1]
-    assert [end - start - 1 for start, end in zip(starts, rows)] == [1] * 12
+            monkeypatch.setattr(spec, name, product)
+        # the stride never falls inside the run, so only the stopping row
+        # evaluates, and its evaluation's products follow the last monitor call
+        cfg = _config(p, method, sched=sched, max_iters=12, b=3, T=5, q=4, eval_stride=1000)
+        run(p, cfg, step_monitor=lambda info: log.append(info.k + 1))
+        rows = [i for i, item in enumerate(log) if isinstance(item, int)]
+        assert [log[i] for i in rows] == list(range(1, 13))
+        starts = [-1] + rows[:-1]
+        products = [sorted(log[start + 1 : end]) for start, end in zip(starts, rows)]
+        assert products == [["matvec", "rmatvec"]] * 12
+        monkeypatch.undo()
 
 
 # Objectives of deterministic full-gradient ADMM on the `fused` problem at
