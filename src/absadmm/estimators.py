@@ -4,11 +4,12 @@ Two functions make every gradient estimate the solver loop takes.
 ``minibatch_grad`` is the mean gradient over a batch of distinct indices: an
 anchor's gradient, and sadmm's whole estimate.  ``svrg_grad`` is the
 variance-reduced estimate v = grad_I(x) - grad_I(ref_x) + ref_grad against a
-reference the loop holds; it gathers its batch once and takes both of its
-gradients from those rows.  ``full_grad`` is the exact gradient at x when the
-loop already holds it from an evaluation; a whole-set anchor returns it in
-place of a second pass over the data and is charged as if it had made that
-pass.
+reference the loop holds; it gathers its batch once and forms the difference
+of the two batch gradients with one X_I^T product, so when x equals ref_x the
+batch terms cancel exactly and v is ref_grad.  A whole-set anchor reduces the
+whole set in place, in index order: ``full_grad``, the exact gradient at x
+when the loop already holds it from an evaluation, is returned in place of a
+second pass over the data and is charged as if it had made that pass.
 
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
@@ -20,8 +21,8 @@ import numpy as np
 
 from .problems import (
     ProblemInstance,
+    batch_grad_difference,
     batch_mean_grad,
-    batch_mean_grads,
     full_gradient,
     _loss_slopes,
 )
@@ -68,30 +69,31 @@ def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np
 def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally, full_grad=None):
     """Plain mini-batch gradient: mean of the component gradients over ``batch``.
 
-    ``batch`` holds distinct indices.  When it is the whole set and
-    ``full_grad``, the exact gradient at x, is given, that is the result: the
-    whole set reduces in index order like ``full_gradient``, so the two are
-    bitwise equal.  The batch is charged either way.
+    ``batch`` holds distinct indices, so a batch of n is the whole set, which
+    needs no sort: the result is then ``full_grad``, the exact gradient at x,
+    when it is given, and ``full_gradient`` otherwise.  Both reduce in index
+    order like a sorted batch, so all three are bitwise equal.  The batch is
+    charged either way.
     """
     idx = np.asarray(batch, dtype=np.intp)
     tally.solver_calls += idx.shape[0]
-    if full_grad is not None and idx.shape[0] == p.n:
-        return full_grad
+    if idx.shape[0] == p.n:
+        return full_gradient(p, x) if full_grad is None else full_grad
     return batch_mean_grad(p, x, np.sort(idx))
 
 
 def svrg_grad(p: ProblemInstance, x, batch, ref_x, ref_grad, tally: OracleTally):
     """Variance-reduced gradient v = grad_I(x) - grad_I(ref_x) + ref_grad.
 
-    One gather of the sorted batch I serves both points, and the step is
-    charged 2|batch| component gradients.  The solver loop picks the reference
-    (ref_x, ref_grad): SVRG holds its anchor for a whole window, SPIDER rolls
-    it to the last iterate and estimate after every step.
+    One gather of the sorted batch I and one X_I^T product give the batch
+    difference (``batch_grad_difference``), and the step is charged 2|batch|
+    component gradients.  The solver loop picks the reference (ref_x,
+    ref_grad): SVRG holds its anchor for a whole window, SPIDER rolls it to
+    the last iterate and estimate after every step.
     """
     idx = np.sort(np.asarray(batch, dtype=np.intp))
     tally.solver_calls += 2 * idx.shape[0]
-    g_x, g_ref = batch_mean_grads(p, (x, ref_x), idx)
-    return g_x - g_ref + ref_grad
+    return batch_grad_difference(p, x, ref_x, idx) + ref_grad
 
 
 def estimate_sigma2(p: ProblemInstance, x0, m: int, rng: np.random.Generator) -> float:

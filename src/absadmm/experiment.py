@@ -379,7 +379,10 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     """Run the methods x repeats grid and write traces plus summary.yaml."""
     _validate(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
 
     # one dense matrix from the parse on: filled in split order, scaled in
     # place, and handed out as row views

@@ -10,15 +10,15 @@ At the head of every window the loop draws an anchor batch without
 replacement, and that batch's mini-batch gradient at x becomes the reference
 (ref_x, ref_grad).  sadmm and spider take it as the row's estimate; svrg's
 anchor row also takes an inner step.  An inner step's estimate is
-``svrg_grad``, v = grad_I(x) - grad_I(ref_x) + ref_grad: svrg holds the
-reference for the whole window, and spider rolls it to (x, v) after every
-inner step.  One rule, ``adaptive_batch``,
+``svrg_grad``, v = grad_I(x) - grad_I(ref_x) + ref_grad, formed with one
+X_I^T product: svrg holds the reference for the whole window, and spider
+rolls it to (x, v) after every inner step.  One rule, ``adaptive_batch``,
 sizes every anchor: the ``_adaptive`` flavors pass it the mean squared step
 of the previous window (for sadmm, the last step) as tau, and the static ones
-pass tau = 0, which leaves the cap.  Inner steps draw ``b`` indices with
-replacement from an independent stream, so static and adaptive runs with the
-same seed see the same inner randomness.  Every iteration applies the kernel
-updates in the fixed order y -> x -> dual.
+pass tau = 0, which leaves the cap; a static run forms no step norms.  Inner
+steps draw ``b`` indices with replacement from an independent stream, so
+static and adaptive runs with the same seed see the same inner randomness.
+Every iteration applies the kernel updates in the fixed order y -> x -> dual.
 
 Only evaluation rows touch the whole data set: one pass there gives the
 objective and the stationarity residual together.  Every other row costs its
@@ -33,9 +33,10 @@ first non-finite block in update order.
 
 An evaluation's pass also yields the exact gradient at x_{k+1}.  When the
 next row draws a whole-set anchor at that same point, ``minibatch_grad``
-takes that gradient instead of a second pass.  The draw still consumes the
-anchor stream, and both ledgers are charged as if each side had made its own
-pass.
+takes that gradient instead of a second pass; a whole-set anchor after an
+unevaluated row makes its own pass in index order, without sorting the draw.
+The draw still consumes the anchor stream, and both ledgers are charged as if
+each side had made its own pass.
 """
 
 import time
@@ -205,16 +206,17 @@ def run(
     anchor_ss, inner_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_anchor, rng_inner = np.random.default_rng(anchor_ss), np.random.default_rng(inner_ss)
     # tau is the mean squared step of the last closed window, window_sum that
-    # of the open one; sadmm's first decision reads 0.0 (no step yet), so it
-    # takes the cap, and the static methods read 0.0 at every anchor
-    tau = sp.tau_init if window_field else 0.0
+    # of the open one; only the adaptive methods keep them.  sadmm's first
+    # decision reads 0.0 (no step yet), so it takes the cap, and the static
+    # methods read 0.0 at every anchor
+    tau = sp.tau_init if adaptive and window_field else 0.0
     window_sum = 0.0
     for k in range(cfg.max_iters):
         row = k + 1
         batch_col = cfg.b
         anchored = k % window == 0
         if anchored:
-            N = adaptive_batch(sp, tau if adaptive else 0.0)
+            N = adaptive_batch(sp, tau)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
             ref_x, ref_grad = state.x, minibatch_grad(p, state.x, anchor, tally, full_grad)
             v, batch_col = ref_grad, N
@@ -277,10 +279,11 @@ def run(
             )
         )
 
-        dx = x_new - x_old
-        window_sum += float(dx @ dx) / window
-        if row % window == 0:
-            tau, window_sum = window_sum, 0.0
+        if adaptive:
+            dx = x_new - x_old
+            window_sum += float(dx @ dx) / window
+            if row % window == 0:
+                tau, window_sum = window_sum, 0.0
         if over_budget or (
             cfg.target_epsilon is not None
             and stat_total is not None

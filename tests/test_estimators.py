@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absadmm.datasets import Dataset
 from absadmm.estimators import (
@@ -13,6 +17,7 @@ from absadmm.problems import (
     ConstraintSpec,
     NonsmoothSpec,
     ProblemInstance,
+    batch_mean_grads,
     build_fused_logistic,
     full_gradient,
 )
@@ -82,6 +87,19 @@ def test_full_batch_equals_full_gradient_bitwise(small):
     assert np.array_equal(got, full_gradient(small, x))
 
 
+def test_whole_set_anchor_without_held_gradient_is_full_gradient(small):
+    # a draw of n distinct indices is the whole set: reduced in place, in
+    # index order, and charged n
+    x = np.random.default_rng(9).standard_normal(4)
+    tally = OracleTally()
+    got = minibatch_grad(small, x, np.random.default_rng(10).permutation(small.n), tally)
+    assert got.tobytes() == full_gradient(small, x).tobytes()
+    assert tally.solver_calls == small.n
+    held = full_gradient(small, x)
+    assert minibatch_grad(small, x, np.arange(small.n), tally, full_grad=held) is held
+    assert tally.solver_calls == 2 * small.n
+
+
 def _anchored(p, x):
     """The full-batch anchor gradient at x, which is exact."""
     return minibatch_grad(p, x, np.arange(p.n), OracleTally())
@@ -108,6 +126,41 @@ def test_svrg_exact_cancellation(small):
     snap_grad = _anchored(small, x)
     v = svrg_grad(small, x.copy(), np.array([2, 2, 5]), x, snap_grad, OracleTally())
     assert np.array_equal(v, snap_grad)
+    # with and without ridge, and with a -0.0 in the reference gradient: the
+    # zero batch difference is +0.0, so v is ref_grad + 0.0 bit for bit
+    for p in (small, dataclasses.replace(small, ridge=0.3)):
+        ref_grad = _anchored(p, x)
+        ref_grad[1] = -0.0
+        v = svrg_grad(p, x.copy(), np.array([2, 2, 5]), x, ref_grad, OracleTally())
+        assert v.tobytes() == (ref_grad + 0.0).tobytes()
+        assert not np.signbit(v[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    loss=st.sampled_from(["logistic", "sigmoid"]),
+    ridge=st.sampled_from([0.0, 0.3]),
+    n=st.integers(1, 12),
+    d=st.integers(1, 6),
+    b=st.integers(1, 8),
+    near=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svrg_grad_is_the_difference_of_two_batch_gradients(loss, ridge, n, d, b, near, seed):
+    # one X_I^T product gives what two batch gradients and a subtraction give,
+    # up to rounding on the scale of the terms
+    rng = np.random.default_rng(seed)
+    ds = Dataset(3.0 * rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], n))
+    cs = ConstraintSpec(np.arange(d), np.arange(d), np.ones(d), d, d)
+    p = ProblemInstance(ds, loss, ridge, cs, NonsmoothSpec(0.0))
+    x = 2.0 * rng.standard_normal(d)
+    ref_x = x + (1e-6 if near else 2.0) * rng.standard_normal(d)
+    ref_grad = rng.standard_normal(d)
+    batch = rng.integers(0, n, b)
+    v = svrg_grad(p, x, batch, ref_x, ref_grad, OracleTally())
+    g_x, g_ref = batch_mean_grads(p, (x, ref_x), np.sort(batch))
+    scale = np.abs(g_x) + np.abs(g_ref) + np.abs(ref_grad)
+    assert np.all(np.abs(v - (g_x - g_ref + ref_grad)) <= 1e-12 * scale)
 
 
 def test_spider_recursion_and_state_roll(small):

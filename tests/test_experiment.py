@@ -581,6 +581,17 @@ def test_cli_run_missing_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["file", "below_file"])
+def test_cli_run_out_that_cannot_be_created_is_config_error(tmp_path, config_file, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "o"
+    assert main(["run", "--config", config_file(), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_cli_run_missing_dataset(tmp_path, capsys):
     doc = _config_doc(str(tmp_path / "absent.txt"))
     path = tmp_path / "exp.yaml"

@@ -66,6 +66,22 @@ def test_pointwise_loss_values_frozen():
     assert batch_mean_grad(p_sig, x, [0])[0] == pytest.approx(-0.2350037122015945, abs=1e-15)
 
 
+def test_loss_values_match_logaddexp():
+    # the logistic value max(-z, 0) + log1p(e^-|z|) against np.logaddexp, and
+    # the sigmoid value bit for bit, both on clamped margins
+    from absadmm.problems import _loss_values
+
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 35.0, -35.0, 1e3, -1e3]
+    z = np.concatenate([edges, 10.0 * rng.standard_normal(2000), rng.uniform(-40.0, 40.0, 2000)])
+    zc = np.clip(z, -35.0, 35.0)
+    ref = np.logaddexp(0.0, -zc)
+    got = _loss_values("logistic", z)
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+    assert got[0] == math.log(2.0) and got[6] == np.logaddexp(0.0, -35.0)
+    assert _loss_values("sigmoid", z).tobytes() == (1.0 / (1.0 + np.exp(zc))).tobytes()
+
+
 def test_extreme_margins_do_not_overflow():
     ds = Dataset(np.array([[200.0], [-200.0]]), np.array([1.0, 1.0]))
     cs = _identity(1)
