@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernel import AdmmParams, make_admm_params
 from .problems import ProblemInstance
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "estimate_L",
     "metric_eigenvalue_range",
     "sadmm_feasibility",
+    "feasibility_at",
     "svrg_preset",
     "spider_preset",
     "advise",
@@ -135,6 +137,12 @@ def sadmm_feasibility(
     )
 
 
+def feasibility_at(params: AdmmParams, c_tau: float, L: float, varsigma: float, opnorm: float) -> SadmmFeasibility:
+    """``sadmm_feasibility`` at the beta, eta and metric constant r of ``params``."""
+    zeta_min, zeta_max = metric_eigenvalue_range(params.beta, params.eta, params.r, varsigma, opnorm)
+    return sadmm_feasibility(L, varsigma, zeta_min, zeta_max, c_tau, params.beta, params.eta)
+
+
 def _ceil_root(n: int, num: int, den: int) -> int:
     """Smallest integer t with t**den >= n**num, i.e. ceil(n**(num/den))."""
     target = n**num
@@ -223,7 +231,8 @@ def advise(
     """Assemble the full report for a problem instance.
 
     Feasibility of (beta, eta, c_tau) is evaluated only when both beta and
-    eta are supplied; the presets are always computed.
+    eta are supplied, at the default metric constant r of ``make_admm_params``;
+    the presets are always computed.
     """
     L = estimate_L(p)
     varsigma, opnorm = p.constraint.spectrum
@@ -231,9 +240,8 @@ def advise(
     norm_B = 1.0  # B = -I
     feas = None
     if beta is not None and eta is not None:
-        r = beta * eta * opnorm + 1.0
-        zeta_min, zeta_max = metric_eigenvalue_range(beta, eta, r, varsigma, opnorm)
-        feas = sadmm_feasibility(L, varsigma, zeta_min, zeta_max, c_tau, beta, eta)
+        params = make_admm_params(p.constraint, beta, eta)
+        feas = feasibility_at(params, c_tau, L, varsigma, opnorm)
     return AdvisorReport(
         n=p.n,
         d=p.dataset.d,

@@ -4,7 +4,8 @@ The grid is methods x repeats.  One base seed fixes everything: the split,
 the variance estimate, and one solver seed per repeat (shared across methods
 so static/adaptive pairs see the same randomness).  Given the same config and
 seed, every output byte is reproducible except wall-clock fields.  The cells
-run one after another in this process.
+run one after another in this process.  ``describe_run`` sets up the same
+grid, runs nothing, and reports it beside the analysis's conditions.
 """
 
 import dataclasses
@@ -18,13 +19,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .advisor import estimate_L
+from .advisor import advise, estimate_L, feasibility_at
 from .datasets import d_hint_fault, load_libsvm
 from .errors import ConfigError, DivergenceError, SplitError
 from .estimators import OracleTally, estimate_sigma2
 from .kernel import make_admm_params, stationarity
 from .problems import build_fused_logistic, build_graph_guided, objective
-from .schedulers import SchedulerParams
+from .schedulers import SchedulerParams, adaptive_batch
 from .solvers import METHODS, SolverConfig, TraceRecord, run
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "RunSummary",
     "load_config",
     "run_experiment",
+    "describe_run",
     "emit_trace_csv",
     "parse_trace_csv",
 ]
@@ -359,7 +361,13 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         report = stationarity(problem, result.state)
         tally.eval_calls += problem.n
         final_obj, final_stat = report.objective, report.total
-    cap_hits = sum(1 for rec in trace if rec.batch_size >= problem.n)
+    # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and
+    # a variance-reduced method's anchor opens a window, a new epoch
+    cap = adaptive_batch(solver_cfg.sched, 0.0)
+    cap_hits = sum(
+        rec.batch_size == cap and (rec.epoch == 0 or rec.epoch != prev)
+        for rec, prev in zip(trace, [None] + [rec.epoch for rec in trace])
+    )
     return RunRow(
         method=solver_cfg.method,
         repeat=rep,
@@ -376,14 +384,11 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
-    """Run the methods x repeats grid and write traces plus summary.yaml."""
-    _validate(cfg)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
-
+def _set_up(cfg: ExperimentConfig):
+    """Load, build and measure what a validated config's grid runs on: the
+    train problem, the held-out one (None without a split), sigma2, L and one
+    unseeded SolverConfig per method.  ``run_experiment`` and ``describe_run``
+    both set up here, so they see the same problem."""
     # one dense matrix from the parse on: filled in split order, scaled in
     # place, and handed out as row views
     split_seed = _derive_seed(cfg.seed, 0) if cfg.split else None
@@ -408,7 +413,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         x0 = np.zeros(train.d)
         sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
     L = estimate_L(problem)
-    varsigma, opnorm = problem.constraint.spectrum
 
     # build each method's solver config once, surfacing bad method parameters
     # as config errors before any cell runs
@@ -440,6 +444,53 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
             )
         except ValueError as exc:
             raise ConfigError(f"methods[{i}] ({method.name}): {exc}") from exc
+    return problem, test_problem, sigma2, L, solver_cfgs
+
+
+def describe_run(cfg: ExperimentConfig) -> dict:
+    """``advise``'s report on the problem ``run_experiment`` would set up for
+    cfg, and per method what its SolverConfig makes of it: r, eta/r, the
+    static batch cap against n, the mean squared step above which an adaptive
+    method's progress term undercuts that cap, and the analysis's sufficient
+    conditions at the method's own beta, eta, r and c_tau."""
+    _validate(cfg)
+    problem, _, sigma2, L, solver_cfgs = _set_up(cfg)
+    varsigma, opnorm = problem.constraint.spectrum
+    report = dataclasses.asdict(advise(problem, sigma2=sigma2))
+    # the (beta, eta, c_tau) fields are per method here
+    pair_keys = ("beta", "eta", "c_tau", "feasibility")
+    methods = []
+    for solver_cfg in solver_cfgs:
+        admm, sp = solver_cfg.admm, solver_cfg.sched
+        # a static method's progress term never binds
+        adaptive = solver_cfg.method.endswith("_adaptive")
+        feas = feasibility_at(admm, sp.c_tau, L, varsigma, opnorm)
+        entry = {
+            "name": solver_cfg.method,
+            "beta": admm.beta,
+            "eta": admm.eta,
+            "r": admm.r,
+            "eta_over_r": admm.eta / admm.r,
+            "sigma2": sp.sigma2,
+            "c_eps_sigma2_over_epsilon": sp.c_eps * sp.sigma2 / sp.epsilon,
+            "static_cap": adaptive_batch(sp, 0.0),
+            "n": sp.n,
+            "progress_binds_above": sp.c_tau * sp.epsilon / sp.c_eps if adaptive else None,
+            "sufficient_conditions": dataclasses.asdict(feas),
+        }
+        methods.append(entry)
+    return {"problem": {k: v for k, v in report.items() if k not in pair_keys}, "methods": methods}
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
+    """Run the methods x repeats grid and write traces plus summary.yaml."""
+    _validate(cfg)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    problem, test_problem, sigma2, L, solver_cfgs = _set_up(cfg)
+    varsigma, opnorm = problem.constraint.spectrum
 
     rows = []
     for solver_cfg in solver_cfgs:
@@ -469,8 +520,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         L=float(L),
         varsigma=float(varsigma),
         opnorm=float(opnorm),
-        n_train=train.n,
-        n_test=0 if test is None else test.n,
+        n_train=problem.n,
+        n_test=0 if test_problem is None else test_problem.n,
         rows=rows,
         aggregates=aggregates,
     )

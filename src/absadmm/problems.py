@@ -25,7 +25,6 @@ __all__ = [
     "build_fused_logistic",
     "build_graph_guided",
     "batch_mean_grad",
-    "batch_mean_grads",
     "batch_grad_difference",
     "full_gradient",
     "smooth_value_and_gradient",
@@ -230,11 +229,11 @@ def _mean_value(p: ProblemInstance, x, z) -> float:
     return val
 
 
-def batch_mean_grads(p: ProblemInstance, points, idx) -> list:
-    """Mean component gradients over ``idx`` at each of ``points``, in the order given.
+def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
+    """Mean of per-component gradients over ``idx``, in the order given.
 
-    The rows are gathered once for all points; the whole set in index order is
-    read in place.  The reduction runs over the index order supplied by the
+    The whole set in index order is read in place; any other batch is
+    gathered.  The reduction runs over the index order supplied by the
     caller, so a canonical (sorted) order gives bit-reproducible results.
     """
     idx = np.asarray(idx, dtype=np.intp)
@@ -243,12 +242,7 @@ def batch_mean_grads(p: ProblemInstance, points, idx) -> list:
         feats, labs = ds.features, ds.labels
     else:
         feats, labs = ds.features.take(idx, axis=0), ds.labels.take(idx)
-    return [_mean_grad(p, x, feats, labs, labs * (feats @ x)) for x in points]
-
-
-def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
-    """Mean of per-component gradients over ``idx``, in the order given."""
-    return batch_mean_grads(p, (x,), idx)[0]
+    return _mean_grad(p, x, feats, labs, labs * (feats @ x))
 
 
 def batch_grad_difference(p: ProblemInstance, x, ref_x, idx) -> np.ndarray:

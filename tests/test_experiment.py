@@ -12,7 +12,7 @@ import absadmm.experiment as experiment
 import absadmm.solvers as solvers
 from absadmm.cli import main
 from absadmm.errors import ConfigError, DivergenceError
-from absadmm.datasets import dump_libsvm
+from absadmm.datasets import Dataset, dump_libsvm
 from absadmm.experiment import (
     ExperimentConfig,
     MethodSpec,
@@ -334,6 +334,25 @@ def test_run_experiment_artifacts(tmp_path, config_file):
     assert list(loaded["runs"][0]) == [f.name for f in dataclasses.fields(experiment.RunRow)]
 
 
+def test_batch_cap_hits_count_anchors_at_the_static_cap(tmp_path, config_file):
+    # sigma2 = 0.01 puts the static cap c_eps * sigma2 / epsilon at 10, below
+    # the 12 train rows; svrg's inner batches of b = 10 sit at the cap too but
+    # are not anchors, so only its 4 window heads count
+    path = config_file(
+        sigma2=0.01,
+        repeats=1,
+        methods=[
+            {"name": "sadmm", "beta": 1.0, "eta": 0.5},
+            {"name": "svrg_admm", "beta": 1.0, "eta": 0.5, "b": 10, "T": 2},
+        ],
+    )
+    summary = run_experiment(load_config(path), str(tmp_path / "o"))
+    sadmm, svrg = summary.rows
+    assert summary.n_train == 12
+    assert sadmm.iterations == 8 and sadmm.batch_cap_hits == 8
+    assert svrg.iterations == 8 and svrg.batch_cap_hits == 4
+
+
 def test_summary_yaml_bytes_are_those_of_safe_dump(tmp_path, config_file):
     """Whichever emitter PyYAML has, summary.yaml reads as ``yaml.safe_dump`` writes it."""
     out = tmp_path / "out"
@@ -635,12 +654,11 @@ def _damaged_gzip(path, damage):
 @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
 def test_cli_damaged_gzip_is_data_error(tmp_path, capsys, damage, command):
     path = _damaged_gzip(tmp_path / "data.txt.gz", damage)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_config_doc(path)))
+    argv = [command, "--config", str(cfg)]
     if command == "run":
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text(yaml.safe_dump(_config_doc(path)))
-        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    else:
-        argv = ["advise", "--dataset", path, "--problem", "fused_logistic"]
+        argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: truncated or corrupt gzip data")
@@ -692,49 +710,59 @@ def test_cli_run_d_hint_above_the_largest_index_is_config_error(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("d_hint", ["2147483648", "1000000000000000000000"])
-def test_cli_advise_d_hint_above_the_largest_index_is_usage_error(data_file, capsys, d_hint):
-    argv = ["advise", "--dataset", data_file, "--problem", "fused_logistic", "--d-hint", d_hint]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    want = f"must be at most the largest supported index 2147483647, got {d_hint}"
-    assert f"argument --d-hint: {want}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("d_hint", ["0", "-3"])
-def test_cli_advise_d_hint_below_one_is_usage_error(data_file, capsys, d_hint):
-    argv = ["advise", "--dataset", data_file, "--problem", "fused_logistic", "--d-hint", d_hint]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument --d-hint: must be at least 1, got {d_hint}" in capsys.readouterr().err
+_ADVISE_FAULTS = [
+    ("d_hint-0", lambda d: d["dataset"].update(d_hint=0), "dataset.d_hint must be at least 1, got 0"),
+    ("d_hint--3", lambda d: d["dataset"].update(d_hint=-3), "dataset.d_hint must be at least 1, got -3"),
+    (
+        "d_hint-2**31",
+        lambda d: d["dataset"].update(d_hint=2**31),
+        "dataset.d_hint must be at most the largest supported index 2147483647, got 2147483648",
+    ),
+    (
+        "d_hint-10**21",
+        lambda d: d["dataset"].update(d_hint=10**21),
+        "dataset.d_hint must be at most the largest supported index 2147483647, "
+        "got 1000000000000000000000",
+    ),
+    ("l1", lambda d: d["problem"].update(l1=-1.0), "problem.l1 must be nonnegative and finite"),
+    (
+        "l2",
+        lambda d: d["problem"].update(kind="graph_guided", l2=-1.0),
+        "problem.l2 must be nonnegative and finite",
+    ),
+    (
+        "corr_threshold",
+        lambda d: d["problem"].update(kind="graph_guided", corr_threshold=2.0),
+        "problem.corr_threshold must lie in (0, 1], got 2.0",
+    ),
+    (
+        "c_tau",
+        lambda d: d["methods"][0].update(c_tau=0.0),
+        "methods[0] (sadmm): c_tau must be positive and finite",
+    ),
+    (
+        "beta",
+        lambda d: d["methods"][0].update(beta=-1.0),
+        "methods[0] (sadmm): beta must be positive and finite",
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "problem, flags, want",
-    [
-        ("fused_logistic", ["--l1", "-1"], "--l1: must be nonnegative and finite, got -1"),
-        ("graph_guided", ["--l2", "-1"], "--l2: must be nonnegative and finite, got -1"),
-        ("graph_guided", ["--corr-threshold", "2"], "--corr-threshold: must be in (0, 1], got 2"),
-        (
-            "fused_logistic",
-            ["--beta", "50", "--eta", "0.02", "--c-tau", "0"],
-            "--c-tau: must be positive and finite, got 0",
-        ),
-        (
-            "fused_logistic",
-            ["--beta", "-1", "--eta", "0.5"],
-            "--beta: must be positive and finite, got -1",
-        ),
-    ],
+    "mutate, want", [case[1:] for case in _ADVISE_FAULTS], ids=[case[0] for case in _ADVISE_FAULTS]
 )
-def test_cli_advise_bad_numeric_flag_is_usage_error(data_file, capsys, problem, flags, want):
-    argv = ["advise", "--dataset", data_file, "--problem", problem, *flags]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument {want}" in capsys.readouterr().err
+def test_cli_advise_rejects_what_run_rejects(tmp_path, data_file, capsys, mutate, want):
+    # both commands read the config and set up the problem the same way, so
+    # a fault is the same config error, with the same message, from either
+    doc = _config_doc(data_file)
+    mutate(doc)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["advise", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith(f"config error: {want}")
 
 
 def test_cli_run_bad_params_is_config_error(tmp_path, config_file, capsys):
@@ -817,27 +845,63 @@ def test_cli_seed_override(tmp_path, config_file):
     assert a != _rows_excluding_time(tmp_path / "c" / "trace_sadmm_rep0.csv")
 
 
-def test_cli_advise(data_file, capsys):
-    assert main(["advise", "--dataset", data_file, "--problem", "fused_logistic"]) == 0
-    report = yaml.safe_load(capsys.readouterr().out)
-    assert report["n"] == 24 and report["d"] == 4
-    assert report["feasibility"] is None
-    assert report["svrg"]["kind"] == "svrg" and report["spider"]["kind"] == "spider"
-
-    code = main(
-        ["advise", "--dataset", data_file, "--problem", "fused_logistic",
-         "--beta", "50", "--eta", "0.02"]
+def test_cli_advise(config_file, capsys):
+    path = config_file(
+        methods=[
+            {"name": "sadmm", "beta": 50.0, "eta": 0.02, "r": 10.0},
+            {"name": "svrg_admm_adaptive", "beta": 1.0, "eta": 0.5, "c_tau": 3.0, "c_eps": 2.0},
+        ],
+        sigma2=0.005,
     )
-    assert code == 0
+    assert main(["advise", "--config", path]) == 0
     report = yaml.safe_load(capsys.readouterr().out)
-    assert isinstance(report["feasibility"]["feasible"], bool)
-    assert report["beta"] == 50.0
+    problem = report["problem"]
+    assert problem["n"] == 12 and problem["d"] == 4  # the train half of 24 rows
+    assert problem["sigma2"] == 0.005
+    assert problem["svrg"]["kind"] == "svrg" and problem["spider"]["kind"] == "spider"
+    assert "feasibility" not in problem
+    sadmm, svrg = report["methods"]
+    assert [sadmm["name"], svrg["name"]] == ["sadmm", "svrg_admm_adaptive"]
+    # the config's r, not the default one
+    assert sadmm["r"] == 10.0 and sadmm["eta_over_r"] == 0.02 / 10.0
+    # c_eps * sigma2 / epsilon = 5 at the default epsilon 1e-3, below n = 12
+    assert sadmm["static_cap"] == 5 and sadmm["n"] == 12
+    assert sadmm["progress_binds_above"] is None
+    assert svrg["static_cap"] == 10
+    assert svrg["progress_binds_above"] == pytest.approx(3.0 * 1e-3 / 2.0, rel=1e-15)
+    assert isinstance(sadmm["sufficient_conditions"]["feasible"], bool)
 
 
 def test_cli_advise_missing_dataset(tmp_path, capsys):
-    code = main(["advise", "--dataset", str(tmp_path / "gone.txt"), "--problem", "fused_logistic"])
-    assert code == 3
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_config_doc(str(tmp_path / "gone.txt"))))
+    assert main(["advise", "--config", str(cfg)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_advise_describes_the_run_it_sits_beside(tmp_path, capsys):
+    # non-binary features, so normalize changes the problem, and a split, so
+    # the run trains on half the rows: advise must see that same problem
+    rng = np.random.default_rng(5)
+    path = tmp_path / "data.txt"
+    feats = rng.standard_normal((40, 5)) * [1.0, 3.0, 10.0, 0.5, 7.0]
+    labels = np.where(feats[:, 0] + rng.standard_normal(40) > 0.0, 1.0, -1.0)
+    path.write_text(dump_libsvm(Dataset(feats, labels)))
+    doc = _config_doc(str(path), methods=[{"name": "sadmm", "beta": 1.0, "eta": 0.5}])
+    doc["dataset"]["normalize"] = True
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert main(["advise", "--config", str(cfg)]) == 0
+    report = yaml.safe_load(capsys.readouterr().out)
+    problem = report["problem"]
+    assert problem["n"] == summary["n_train"] == 20
+    for key in ("sigma2", "L", "varsigma", "opnorm"):
+        assert problem[key] == summary[key], key
+    assert report["methods"][0]["sigma2"] == summary["sigma2"]
 
 
 def test_experiment_config_validation(tmp_path, data_file):

@@ -4,7 +4,7 @@ import pytest
 import absadmm.solvers as solvers
 from absadmm.errors import DivergenceError
 from absadmm.kernel import AdmmParams, make_admm_params
-from absadmm.problems import batch_grad_difference, batch_mean_grads, build_fused_logistic
+from absadmm.problems import batch_grad_difference, batch_mean_grad, build_fused_logistic
 from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, SolverConfig, run
 
@@ -670,7 +670,7 @@ def test_vr_reference_policy(fused, monkeypatch, method):
             assert modes == ["without_replacement"] + ["with_replacement"] * svrg
             anchor = np.sort(row_draws[0][1])
             anchor_sizes.add(anchor.size)
-            ref_x, ref_grad = x, batch_mean_grads(fused, (x,), anchor)[0]
+            ref_x, ref_grad = x, batch_mean_grad(fused, x, anchor)
             expected = ref_grad
         else:
             assert modes == ["with_replacement"]
