@@ -83,12 +83,22 @@ class SplitPair:
 # 3 to 7 MiB more.
 _BLOCK_BYTES = 1 << 18
 
-# Blocks are parsed on this many threads, at most this many at a time, while
-# the calling thread reads the next one; numpy releases the interpreter lock
-# in most of its array operations.  Two workers cut fresh-process loads of the
-# bench files on two CPUs by 14% (2.4 MB) and 28% (13 MB); pinned to one CPU,
-# the same loads took 12 to 14% longer than parsing on the calling thread.
+# Blocks are parsed on this many threads, with one job more than the workers
+# in flight so that none idles while the calling thread waits on the earliest
+# block and reads the next one; numpy releases the interpreter lock in most of
+# its array operations.  The same threads then write the blocks' rows into the
+# dense matrix and scale its columns.  Parsing on two workers cut fresh-process
+# loads of the bench files on two CPUs by 14% (2.4 MB) and 28% (13 MB);
+# filling and scaling on them as well cut a further 10 to 11% and 7 to 9%.
+# Pinned to one CPU, the workers take turns: pooled parsing took 12 to 14%
+# longer than parsing on the calling thread, and the pooled fill and scale
+# moved the loads by -2% to +1%.
 _WORKERS = 2
+
+# With ``normalize``, the column scales are taken and applied in this many
+# row chunks, one job each.  In warm loads of the 2.4 MB bench file on two
+# CPUs, 8 chunks were as fast as any count from 1 to 64.
+_SCALE_CHUNKS = 8
 
 # Columns are stored as int32 until the dense matrix is filled.
 _MAX_INDEX = 2**31 - 1
@@ -474,7 +484,14 @@ def d_hint_fault(d_hint):
 
 
 def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
-    """Parse into one dense buffer; see ``load_libsvm`` for the keywords."""
+    """Parse into one dense buffer; see ``load_libsvm`` for the keywords.
+
+    A stream of one block is loaded on this thread: the pool would cost more
+    than the parse.  Longer streams are loaded on a pool of ``_WORKERS``
+    threads: the blocks are parsed ``_WORKERS + 1`` at a time and collected in
+    file order, so the first bad line of the file is the one reported, and
+    then the same pool fills and scales the dense matrix.
+    """
     fault = d_hint_fault(d_hint)
     if fault:
         raise ValueError(f"d_hint {fault}")
@@ -491,27 +508,36 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
         blocks.append(parsed)
         lines += breaks
 
-    # Blocks are collected in file order, so the first bad line of the file is
-    # the one reported.  A stream of one block is parsed on this thread: the
-    # pool would cost more than the parse.
     bufs = _line_blocks(stream)
     head = list(islice(bufs, 2))
     if len(head) < 2:
         for buf in head:
             collect(partial(_parse_block, buf, d_hint))
-    else:
-        # once chained, the list goes with its iterator, so only the pool's
-        # jobs hold the first two blocks
-        bufs = chain(head, bufs)
-        del head
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            jobs = deque()
-            for buf in bufs:
-                if len(jobs) == _WORKERS:
-                    collect(jobs.popleft().result)
-                jobs.append(pool.submit(_parse_block, buf, d_hint))
-            while jobs:
+        return _assemble(blocks, d_hint, normalize, split_seed, map)
+    # once chained, the list goes with its iterator, so only the pool's jobs
+    # hold the first two blocks
+    bufs = chain(head, bufs)
+    del head
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        # one job more than the workers, so that a worker that finishes while
+        # the calling thread waits on an earlier block finds the next one
+        jobs = deque()
+        for buf in bufs:
+            if len(jobs) > _WORKERS:
                 collect(jobs.popleft().result)
+            jobs.append(pool.submit(_parse_block, buf, d_hint))
+        while jobs:
+            collect(jobs.popleft().result)
+        return _assemble(blocks, d_hint, normalize, split_seed, pool.map)
+
+
+def _assemble(blocks, d_hint, normalize, split_seed, each):
+    """The ``Dataset`` (or, with a ``split_seed``, the ``SplitPair``) of the parsed blocks.
+
+    ``each`` maps a function over its inputs, as ``map`` or a pool's ``map``
+    does; the blocks are written and the columns scaled by its jobs.  Each
+    block's triplets go when its rows are written.
+    """
     n = sum(labels.size for labels, _, _, _ in blocks)
     if n == 0:
         raise ParseError("no data lines found")
@@ -521,6 +547,7 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
         d = max((int(cols.max()) + 1 for _, _, cols, _ in blocks if cols.size), default=0)
     if d < 1:
         raise ParseError("no feature indices found and no d_hint given")
+    row0 = np.cumsum([0] + [labels.size for labels, _, _, _ in blocks[:-1]])
     labels = np.concatenate([block[0] for block in blocks])
     row_of = np.arange(n)  # the buffer row of each file row
     if split_seed is not None:
@@ -528,17 +555,30 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
         row_of[perm] = np.arange(n)
         labels = labels[perm]
     feats = np.zeros((n, d))
-    row0 = 0
-    for k, (block_labels, row_pairs, cols, vals) in enumerate(blocks):
-        blocks[k] = None  # each block's triplets go as soon as they are written
-        rows = np.repeat(row_of[row0 : row0 + block_labels.size], row_pairs)
-        feats[rows, cols] = vals
-        row0 += block_labels.size
+
+    def handed_over():
+        for k in range(len(blocks)):
+            block, blocks[k] = blocks[k], None
+            yield block
+
+    for _ in each(partial(_fill_rows, feats.reshape(-1), d, row_of), handed_over(), row0):
+        pass
     if normalize:
-        _scale_columns_in_place(feats)
+        _scale_columns_in_place(feats, each)
     if split_seed is not None:
         return _halves(feats, labels, n_train)
     return Dataset(feats, labels)
+
+
+def _fill_rows(flat, d, row_of, block, first):
+    """Write a parsed block, whose first row is file row ``first``, into the flat n x d buffer.
+
+    The blocks' rows are disjoint, so blocks are written at once without a lock.
+    """
+    _, row_pairs, cols, vals = block
+    where = np.repeat(row_of[first : first + row_pairs.size] * d, row_pairs)
+    where += cols
+    flat[where] = vals
 
 
 def parse_libsvm(text, d_hint=None) -> Dataset:
@@ -613,14 +653,28 @@ def split_half(ds: Dataset, seed) -> SplitPair:
     return _halves(ds.features[perm], ds.labels[perm], n_train)
 
 
-def _scale_columns_in_place(feats):
+def _scale_columns_in_place(feats, each=map):
     """Divide each column by its max absolute value; zero columns stay zero.
 
-    The max of |x| is max(max x, -min x), so no n x d temporary is made.
+    The max of |x| is max(max x, -min x), so no n x d temporary is made.  The
+    rows are taken in chunks, one job of ``each`` (``map`` or a pool's
+    ``map``) per chunk: the chunks' maxima are combined before any chunk is
+    divided.  A max is exact, and a zero scale, of either sign, becomes 1, so
+    the result does not depend on the chunks.
     """
-    scale = np.maximum(feats.max(axis=0), -feats.min(axis=0))
+    chunks = np.array_split(feats, min(feats.shape[0], _SCALE_CHUNKS))
+
+    def max_abs(chunk):
+        return np.maximum(chunk.max(axis=0), -chunk.min(axis=0))
+
+    scale = np.maximum.reduce(list(each(max_abs, chunks)))
     scale[scale == 0.0] = 1.0
-    feats /= scale
+
+    def divide(chunk):
+        chunk /= scale
+
+    for _ in each(divide, chunks):
+        pass
 
 
 def scale_max_abs(ds: Dataset) -> Dataset:

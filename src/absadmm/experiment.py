@@ -59,6 +59,42 @@ _CONFIG_KEYS = {
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
+
+class _ConfigLoader(_YAML_LOADER):
+    """The config loader: a key given twice in one mapping is a config error.
+
+    PyYAML keeps a repeated key's last value.  The composed nodes are checked
+    before they are constructed, so a key that a merge (``<<``) brings in may
+    still be overridden, as YAML allows.  The repeat that comes first in the
+    file is the one reported.
+    """
+
+    def construct_document(self, node):
+        todo, seen, repeats = [(node, "")], set(), []
+        while todo:
+            item, where = todo.pop()
+            if isinstance(item, yaml.ScalarNode) or id(item) in seen:
+                continue
+            seen.add(id(item))  # an alias is checked once, under its first path
+            if isinstance(item, yaml.SequenceNode):
+                todo.extend((entry, f"{where}[{i}]") for i, entry in enumerate(item.value))
+                continue
+            first = {}
+            for key, value in item.value:
+                if key.tag == "tag:yaml.org,2002:merge" or not isinstance(key, yaml.ScalarNode):
+                    todo.append((value, where))
+                    continue
+                path = f"{where}.{key.value}" if where else key.value
+                was = first.setdefault((key.tag, key.value), key)
+                if was is not key:
+                    repeats.append((key.start_mark.line + 1, was.start_mark.line + 1, path))
+                todo.append((value, path))
+        if repeats:
+            line, was, path = min(repeats)
+            raise ConfigError(f"config key {path} is given twice, on lines {was} and {line}")
+        return super().construct_document(node)
+
+
 _CSV_FIELDS = ("iter", "epoch", "batch_size", "oracle_calls", "objective", "stationarity", "time_ms")
 
 
@@ -261,7 +297,7 @@ def load_config(path) -> ExperimentConfig:
     """Parse a YAML experiment config, reading each key by its dataclass field."""
     try:
         with open(path) as fh:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
+            doc = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

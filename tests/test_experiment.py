@@ -292,6 +292,60 @@ def test_duplicate_method_names_are_rejected(tmp_path, data_file, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_REPEATED_KEYS = {
+    # PyYAML keeps the last value of a repeated key: seed 2, max_iters 3, eta 5.0
+    "top_level": ("seed: 1\nseed: 2\n", "", "", "seed", 4, 5),
+    "section": ("", "  max_iters: 3\n", "", "budget.max_iters", 5, 6),
+    "method_entry": ("", "", ", eta: 5.0", "methods[0].eta", 8, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_KEYS))
+@pytest.mark.parametrize("command", ["run", "advise"])
+def test_repeated_config_key_is_rejected(tmp_path, data_file, capsys, case, command):
+    top, section, entry, key, was, line = _REPEATED_KEYS[case]
+    text = (
+        f"dataset: {{path: {data_file}}}\n"
+        "problem: {kind: fused_logistic, l1: 0.05}\n"
+        "repeats: 1\n"
+        f"{top}"
+        "budget:\n"
+        "  max_iters: 4\n"
+        f"{section}"
+        "split: {enabled: true}\n"
+        "methods:\n"
+        f"  - {{name: sadmm, beta: 1.0, eta: 0.5{entry}}}\n"
+    )
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    want = f"config key {key} is given twice, on lines {was} and {line}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        load_config(str(path))
+    args = ["--config", str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    # without the repeat, the same text loads
+    path.write_text(text.replace(top, "").replace(section, "").replace(entry, ""))
+    assert load_config(str(path)).methods
+
+
+def test_merged_config_key_may_be_overridden(tmp_path, data_file):
+    path = tmp_path / "exp.yaml"
+    path.write_text(
+        f"dataset: {{path: {data_file}}}\n"
+        "problem: {kind: fused_logistic, l1: 0.05}\n"
+        "budget: {max_iters: 4}\n"
+        "methods:\n"
+        "  - &base {name: sadmm, beta: 1.0, eta: 0.5}\n"
+        "  - {<<: *base, name: sadmm_adaptive, eta: 0.25}\n"
+    )
+    methods = load_config(str(path)).methods
+    assert [(m.name, m.beta, m.eta) for m in methods] == [
+        ("sadmm", 1.0, 0.5),
+        ("sadmm_adaptive", 1.0, 0.25),
+    ]
+
+
 def _readme_schema():
     """The YAML block under "Config schema (YAML):" in README.md."""
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -396,9 +396,18 @@ def test_no_worker_outlives_a_load(tmp_path, monkeypatch):
         load_libsvm(bad)
     assert threading.active_count() == before
 
+    # a fill job that raises takes the load down, and its pool with it
+    def broken_fill(*args):
+        raise RuntimeError("fill failed")
+
+    monkeypatch.setattr(datasets, "_fill_rows", broken_fill)
+    with pytest.raises(RuntimeError, match="fill failed"):
+        load_libsvm(good, normalize=True, split_seed=3)
+    assert threading.active_count() == before
 
 
-def test_one_block_parses_on_the_calling_thread(monkeypatch):
+
+def test_one_block_parses_on_the_calling_thread(tmp_path, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     submitted = []
@@ -412,11 +421,22 @@ def test_one_block_parses_on_the_calling_thread(monkeypatch):
     assert parse_libsvm(b"+1 1:0.5\n-1 2:1\n").n == 2
     with pytest.raises(ParseError, match="line 2: malformed pair"):
         parse_libsvm(b"+1 1:0.5\n+1 1:x\n")
+    # one block is filled and scaled on the calling thread too
+    path = tmp_path / "data.txt"
+    path.write_bytes(_LINE * 3)
+    assert load_libsvm(path, normalize=True, split_seed=3).train.n == 2
     assert submitted == []
     # two blocks or more still go to the pool
     monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
     assert parse_libsvm(_LINE * 40).n == 40
     assert submitted
+    # ... which then writes each block's rows into the dense matrix
+    submitted.clear()
+    path.write_bytes(_LINE * 200)
+    assert load_libsvm(path, normalize=True, split_seed=3).train.n == 100
+    fills = [job for job in submitted if getattr(job, "func", None) is datasets._fill_rows]
+    assert len(fills) == len(_blocks_of(_LINE * 200)) > 10
+
 
 # -- memory ------------------------------------------------------------------------------
 

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from libsvm_reference import parse_libsvm as reference_parse
 
 import absadmm.datasets as datasets
 import absadmm.experiment as experiment
@@ -108,6 +109,41 @@ def test_split_set_up_matches_library_pipeline(tmp_path, monkeypatch, case, norm
     buffer = train.features.base
     assert buffer is not None and buffer.shape == (n, d_hint or d)
     assert np.shares_memory(buffer, test.features)
+
+
+def test_many_block_load_matches_library_pipeline(tmp_path, monkeypatch):
+    """Blocks filled and columns scaled on the pool give the library pipeline's bytes."""
+    rng = np.random.default_rng(4)
+    n, d_hint, block = 80, 9, 64
+    lines = []
+    for i in range(n):
+        pairs = [f"1:{-rng.uniform(0.5, 3.0)!r}"]  # largest |x| of column 1 is negative
+        if i == 7:
+            pairs[0] = "1:-4"
+        pairs.append(f"2:{rng.uniform(-1.0, 1.0)!r}")
+        # column 3 is all zeros, written as explicit zeros of either sign
+        pairs.append("3:-0" if i % 2 else "3:0.0")
+        if i % 3 == 0:
+            pairs.append("4:-0")  # an explicit -0 in a column with nonzeros
+        elif i % 3 == 1:
+            pairs.append(f"4:{rng.standard_normal()!r}")
+        pairs.append(f"6:{rng.integers(-9, 10)}")  # the largest index, below d_hint
+        lines.append(("+1 " if i % 2 else "-1 ") + " ".join(pairs) + "\n")
+    path = tmp_path / "data.txt"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+    assert path.stat().st_size > 10 * block
+
+    plain = load_libsvm(path, d_hint=d_hint)
+    assert _same(plain, reference_parse("".join(lines), d_hint=d_hint))
+    assert plain.d == d_hint and np.signbit(plain.features[:, 2]).any()
+    scaled = scale_max_abs(plain)
+    assert _same(load_libsvm(path, d_hint=d_hint, normalize=True), scaled)
+    for seed in (0, 5, 11):
+        for normalize, source in ((False, plain), (True, scaled)):
+            got = load_libsvm(path, d_hint=d_hint, normalize=normalize, split_seed=seed)
+            want = split_half(source, seed)
+            assert _same(got.train, want.train) and _same(got.test, want.test)
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
