@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import AdmmParams, make_admm_params
+from .kernel import AdmmParams
 from .problems import ProblemInstance
 
 __all__ = [
@@ -63,7 +63,7 @@ class VrPreset:
 
 @dataclass(frozen=True)
 class AdvisorReport:
-    """Problem constants plus feasibility and presets, as printed by the CLI."""
+    """Problem constants and the two presets, as printed by the CLI."""
 
     n: int
     d: int
@@ -73,10 +73,6 @@ class AdvisorReport:
     norm_A: float
     norm_B: float
     sigma2: Optional[float]
-    beta: Optional[float]
-    eta: Optional[float]
-    c_tau: Optional[float]
-    feasibility: Optional[SadmmFeasibility]
     svrg: VrPreset
     spider: VrPreset
 
@@ -170,13 +166,13 @@ def _sweep_beta(eta, varsigma, opnorm, tail_builder):
     return swept, zeta_max, r, swept >= needed * (1.0 - 1e-12)
 
 
-def svrg_preset(n: int, L: float, norm_A: float, norm_B: float, varsigma: float, opnorm: float) -> VrPreset:
+def svrg_preset(n: int, L: float, varsigma: float, opnorm: float) -> VrPreset:
     """Theory preset for the snapshot-anchored method."""
     T = _ceil_root(n, 1, 3)
     b = _ceil_root(n, 2, 3)
     zeta_min = 1.0
     eta = 2.0 * zeta_min / (5.0 * L * L + L + 2.0)
-    prod = norm_B * norm_A
+    prod = math.sqrt(opnorm)  # ||B|| * ||A||, with B = -I
 
     def tails(zmax_over_eta):
         return (
@@ -185,26 +181,23 @@ def svrg_preset(n: int, L: float, norm_A: float, norm_B: float, varsigma: float,
         )
 
     beta, zeta_max, r, ok = _sweep_beta(eta, varsigma, opnorm, tails)
-    c = 9.0 + (12.0 / (L * L)) * (3.0 + beta * beta * prod)
+    # the bound grows without limit as L -> 0
+    c = math.inf if L * L == 0.0 else 9.0 + (12.0 / (L * L)) * (3.0 + beta * beta * prod)
     return VrPreset(
         kind="svrg", b=b, window=T, eta=eta, beta=beta, c_tau=c, c_eps=c,
         r=r, zeta_min=zeta_min, zeta_max=zeta_max, bounds_ok=ok,
     )
 
 
-def spider_preset(
-    n: int, L: float, norm_A: float, norm_B: float, varsigma: float, opnorm: float, c_d: float = 1.0
-) -> VrPreset:
+def spider_preset(n: int, L: float, varsigma: float, opnorm: float) -> VrPreset:
     """Theory preset for the recursive-gradient method."""
     s = math.isqrt(n)
     q = s if s * s == n else s + 1
     b = q
-    if not 1.0 <= c_d <= q:
-        raise ValueError(f"c_d must lie in [1, {q}]")
     zeta_min = 1.0
     # eta must sit strictly below 2*zeta_min/(L^2+L+4); take the midpoint
     eta = zeta_min / (L * L + L + 4.0)
-    prod = norm_B * norm_A
+    prod = math.sqrt(opnorm)  # ||B|| * ||A||, with B = -I
 
     def tails(zmax_over_eta):
         return (
@@ -213,48 +206,28 @@ def spider_preset(
         )
 
     beta, zeta_max, r, ok = _sweep_beta(eta, varsigma, opnorm, tails)
-    c = (9.0 * (1.0 + c_d) / 2.0) * (4.0 + beta * beta * prod)
+    c = 9.0 * (4.0 + beta * beta * prod)
     return VrPreset(
         kind="spider", b=b, window=q, eta=eta, beta=beta, c_tau=c, c_eps=c,
         r=r, zeta_min=zeta_min, zeta_max=zeta_max, bounds_ok=ok,
     )
 
 
-def advise(
-    p: ProblemInstance,
-    beta: Optional[float] = None,
-    eta: Optional[float] = None,
-    c_tau: float = 1.0,
-    sigma2: Optional[float] = None,
-    c_d: float = 1.0,
-) -> AdvisorReport:
-    """Assemble the full report for a problem instance.
-
-    Feasibility of (beta, eta, c_tau) is evaluated only when both beta and
-    eta are supplied, at the default metric constant r of ``make_admm_params``;
-    the presets are always computed.
-    """
+def advise(p: ProblemInstance, sigma2: Optional[float] = None) -> AdvisorReport:
+    """Assemble the report for a problem instance: L, the constraint's
+    spectrum and norms, and both presets.  A given (beta, eta) pair is checked
+    with ``feasibility_at``."""
     L = estimate_L(p)
     varsigma, opnorm = p.constraint.spectrum
-    norm_A = math.sqrt(opnorm)
-    norm_B = 1.0  # B = -I
-    feas = None
-    if beta is not None and eta is not None:
-        params = make_admm_params(p.constraint, beta, eta)
-        feas = feasibility_at(params, c_tau, L, varsigma, opnorm)
     return AdvisorReport(
         n=p.n,
         d=p.dataset.d,
         L=L,
         varsigma=varsigma,
         opnorm=opnorm,
-        norm_A=norm_A,
-        norm_B=norm_B,
+        norm_A=math.sqrt(opnorm),
+        norm_B=1.0,  # B = -I
         sigma2=sigma2,
-        beta=beta,
-        eta=eta,
-        c_tau=c_tau if beta is not None and eta is not None else None,
-        feasibility=feas,
-        svrg=svrg_preset(p.n, L, norm_A, norm_B, varsigma, opnorm),
-        spider=spider_preset(p.n, L, norm_A, norm_B, varsigma, opnorm, c_d=c_d),
+        svrg=svrg_preset(p.n, L, varsigma, opnorm),
+        spider=spider_preset(p.n, L, varsigma, opnorm),
     )

@@ -492,9 +492,6 @@ def describe_run(cfg: ExperimentConfig) -> dict:
     _validate(cfg)
     problem, _, sigma2, L, solver_cfgs = _set_up(cfg)
     varsigma, opnorm = problem.constraint.spectrum
-    report = dataclasses.asdict(advise(problem, sigma2=sigma2))
-    # the (beta, eta, c_tau) fields are per method here
-    pair_keys = ("beta", "eta", "c_tau", "feasibility")
     methods = []
     for solver_cfg in solver_cfgs:
         admm, sp = solver_cfg.admm, solver_cfg.sched
@@ -515,7 +512,7 @@ def describe_run(cfg: ExperimentConfig) -> dict:
             "sufficient_conditions": dataclasses.asdict(feas),
         }
         methods.append(entry)
-    return {"problem": {k: v for k, v in report.items() if k not in pair_keys}, "methods": methods}
+    return {"problem": dataclasses.asdict(advise(problem, sigma2=sigma2)), "methods": methods}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:

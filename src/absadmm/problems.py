@@ -140,14 +140,11 @@ class _GraphIncidence(ConstraintSpec):
 
 @dataclass(frozen=True)
 class NonsmoothSpec:
-    """Nonsmooth penalty g; only the weighted L1 norm is supported."""
+    """Nonsmooth penalty g(y) = weight * ||y||_1."""
 
     weight: float
-    kind: str = "weighted_l1"
 
     def __post_init__(self):
-        if self.kind != "weighted_l1":
-            raise UnsupportedProblemError(f"unsupported penalty kind {self.kind!r}")
         if not 0.0 <= self.weight < math.inf:
             raise ValueError("penalty weight must be nonnegative and finite")
 
@@ -232,16 +229,13 @@ def _mean_value(p: ProblemInstance, x, z) -> float:
 def batch_mean_grad(p: ProblemInstance, x: np.ndarray, idx) -> np.ndarray:
     """Mean of per-component gradients over ``idx``, in the order given.
 
-    The whole set in index order is read in place; any other batch is
-    gathered.  The reduction runs over the index order supplied by the
-    caller, so a canonical (sorted) order gives bit-reproducible results.
+    The rows are gathered, whatever the batch; the exact gradient over the
+    whole set, read in place, is ``full_gradient``.  The reduction runs over
+    the index order supplied by the caller, so a canonical (sorted) order
+    gives bit-reproducible results.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    ds = p.dataset
-    if idx.shape[0] == ds.n and np.array_equal(idx, np.arange(ds.n)):
-        feats, labs = ds.features, ds.labels
-    else:
-        feats, labs = ds.features.take(idx, axis=0), ds.labels.take(idx)
+    feats, labs = p.dataset.features.take(idx, axis=0), p.dataset.labels.take(idx)
     return _mean_grad(p, x, feats, labs, labs * (feats @ x))
 
 

@@ -319,9 +319,9 @@ def test_advisor_root_and_preset_consistency():
                     n_infeasible += 1
     assert n_feasible >= 5 and n_infeasible >= 5
 
-    sv = svrg_preset(1000, 1.0, 2.0, 1.0, 1.0, 1.0)
+    sv = svrg_preset(1000, 1.0, 1.0, 1.0)
     assert (sv.window, sv.b) == (10, 100)
-    sp = spider_preset(100, 1.0, 2.0, 1.0, 1.0, 1.0)
+    sp = spider_preset(100, 1.0, 1.0, 1.0)
     assert (sp.window, sp.b) == (10, 10)
     print(
         f"PASS advisor: 4 roots to 1e-10, {n_feasible} feasible reports re-verified, "

@@ -7,12 +7,14 @@ import pytest
 from absadmm.advisor import (
     advise,
     estimate_L,
+    feasibility_at,
     metric_eigenvalue_range,
     sadmm_feasibility,
     spider_preset,
     svrg_preset,
 )
 from absadmm.datasets import Dataset
+from absadmm.kernel import make_admm_params
 from absadmm.problems import ConstraintSpec, build_difference_matrix, build_fused_logistic
 
 
@@ -144,43 +146,43 @@ def test_rho_theta_identity():
 
 
 def test_svrg_preset_window_sizes():
-    p = svrg_preset(1000, 1.0, 1.0, 1.0, 1.0, 1.0)
+    p = svrg_preset(1000, 1.0, 1.0, 1.0)
     assert (p.window, p.b) == (10, 100)
-    p = svrg_preset(27, 1.0, 1.0, 1.0, 1.0, 1.0)
+    p = svrg_preset(27, 1.0, 1.0, 1.0)
     assert (p.window, p.b) == (3, 9)  # exact cube: no float-root off-by-one
-    p = svrg_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0)
+    p = svrg_preset(100, 1.0, 1.0, 1.0)
     assert (p.window, p.b) == (5, 22)
 
 
 def test_svrg_preset_root_exactness():
     for n in list(range(1, 200)) + [10**6, 10**6 + 1]:
-        p = svrg_preset(n, 1.0, 1.0, 1.0, 1.0, 1.0)
+        p = svrg_preset(n, 1.0, 1.0, 1.0)
         assert (p.window - 1) ** 3 < n <= p.window**3
         assert (p.b - 1) ** 3 < n * n <= p.b**3
 
 
 def test_spider_preset_window_sizes():
-    assert spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0).window == 10
-    assert spider_preset(101, 1.0, 1.0, 1.0, 1.0, 1.0).window == 11
-    p = spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0)
+    assert spider_preset(100, 1.0, 1.0, 1.0).window == 10
+    assert spider_preset(101, 1.0, 1.0, 1.0).window == 11
+    p = spider_preset(100, 1.0, 1.0, 1.0)
     assert p.b == p.window
 
 
 def test_preset_eta_formulas():
-    assert svrg_preset(50, 1.0, 1.0, 1.0, 1.0, 1.0).eta == pytest.approx(0.25, rel=1e-15)
-    assert spider_preset(50, 1.0, 1.0, 1.0, 1.0, 1.0).eta == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert svrg_preset(50, 1.0, 1.0, 1.0).eta == pytest.approx(0.25, rel=1e-15)
+    assert spider_preset(50, 1.0, 1.0, 1.0).eta == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 def test_unit_spectrum_presets_verify():
     # varsigma == opnorm keeps zeta_max at 1 through the sweep, so the
     # fixed point is exact and the frozen beta is the last bound
-    p = svrg_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0)
+    p = svrg_preset(100, 1.0, 1.0, 1.0)
     assert p.bounds_ok
     assert p.zeta_min == p.zeta_max == 1.0
     assert p.beta == pytest.approx(math.sqrt(430.0), rel=1e-14)
     assert p.r == pytest.approx(p.beta * p.eta + 1.0, rel=1e-14)
     assert p.c_tau == p.c_eps == pytest.approx(9.0 + 12.0 * (3.0 + p.beta**2), rel=1e-14)
-    s = spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0)
+    s = spider_preset(100, 1.0, 1.0, 1.0)
     assert s.bounds_ok
     assert s.beta == pytest.approx(math.sqrt(780.0), rel=1e-14)
     assert s.c_tau == pytest.approx(9.0 * (4.0 + s.beta**2), rel=1e-14)
@@ -191,25 +193,12 @@ def test_spread_spectrum_presets_flagged():
     # fixed point, which the verify flag reports
     lo, hi = build_difference_matrix(2).spectrum
     for preset in (svrg_preset, spider_preset):
-        p = preset(100, 1.0, math.sqrt(hi), 1.0, lo, hi)
+        p = preset(100, 1.0, lo, hi)
         assert not p.bounds_ok
-
-
-def test_spider_c_d_validation_and_scaling():
-    with pytest.raises(ValueError, match="c_d"):
-        spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0, c_d=0.5)
-    with pytest.raises(ValueError, match="c_d"):
-        spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0, c_d=11.0)
-    one = spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0, c_d=1.0)
-    three = spider_preset(100, 1.0, 1.0, 1.0, 1.0, 1.0, c_d=3.0)
-    assert three.c_tau == pytest.approx(2.0 * one.c_tau, rel=1e-15)
-    assert three.beta == one.beta
 
 
 def test_advise_without_pair(rownorm4):
     rep = advise(rownorm4, sigma2=0.125)
-    assert rep.feasibility is None
-    assert rep.beta is None and rep.eta is None and rep.c_tau is None
     assert rep.sigma2 == 0.125
     assert rep.norm_B == pytest.approx(1.0, rel=1e-12)
     assert rep.L == 1.0
@@ -217,14 +206,12 @@ def test_advise_without_pair(rownorm4):
     assert rep.svrg.kind == "svrg" and rep.spider.kind == "spider"
 
 
-def test_advise_with_pair(rownorm4):
-    rep = advise(rownorm4, beta=8.0, eta=1.0, c_tau=1.0)
-    assert rep.feasibility is not None
-    assert rep.c_tau == 1.0
+def test_feasibility_at_default_metric(rownorm4):
+    L = estimate_L(rownorm4)
+    varsigma, opnorm = rownorm4.constraint.spectrum
+    feas = feasibility_at(make_admm_params(rownorm4.constraint, 8.0, 1.0), 1.0, L, varsigma, opnorm)
     # default-r metric: zeta_min is 1 by construction
-    zmin, zmax = metric_eigenvalue_range(
-        8.0, 1.0, 8.0 * rep.opnorm + 1.0, rep.varsigma, rep.opnorm
-    )
+    zmin, zmax = metric_eigenvalue_range(8.0, 1.0, 8.0 * opnorm + 1.0, varsigma, opnorm)
     assert zmin == pytest.approx(1.0, abs=1e-12)
-    direct = sadmm_feasibility(rep.L, rep.varsigma, zmin, zmax, 1.0, 8.0, 1.0)
-    assert rep.feasibility.rho == direct.rho
+    direct = sadmm_feasibility(L, varsigma, zmin, zmax, 1.0, 8.0, 1.0)
+    assert feas.rho == direct.rho

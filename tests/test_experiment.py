@@ -10,6 +10,7 @@ import yaml
 
 import absadmm.experiment as experiment
 import absadmm.solvers as solvers
+from absadmm.advisor import spider_preset, svrg_preset
 from absadmm.cli import main
 from absadmm.errors import ConfigError, DivergenceError
 from absadmm.datasets import Dataset, dump_libsvm
@@ -362,6 +363,21 @@ def test_readme_schema_block_loads(tmp_path):
     assert cfg.methods[1].c_eps == 3.0
     assert cfg.methods[2].b == 64 and cfg.methods[2].T == 10
     assert cfg.normalize is True and cfg.oracle_budget is None
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, make_dataset):
+    # the blocks read train.libsvm from the working directory and share names
+    ds = make_dataset(300, 12, seed=23)
+    sparse = np.where(np.random.default_rng(23).random(ds.features.shape) < 0.7, 0.0, ds.features)
+    (tmp_path / "train.libsvm").write_text(dump_libsvm(Dataset(sparse, ds.labels)))
+    monkeypatch.chdir(tmp_path)
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].sigma2 == namespace["sigma2"]
 
 
 def test_run_experiment_artifacts(tmp_path, config_file):
@@ -952,10 +968,34 @@ def test_cli_advise_describes_the_run_it_sits_beside(tmp_path, capsys):
     assert main(["advise", "--config", str(cfg)]) == 0
     report = yaml.safe_load(capsys.readouterr().out)
     problem = report["problem"]
+    assert list(problem) == [
+        "n", "d", "L", "varsigma", "opnorm", "norm_A", "norm_B", "sigma2", "svrg", "spider",
+    ]
     assert problem["n"] == summary["n_train"] == 20
     for key in ("sigma2", "L", "varsigma", "opnorm"):
         assert problem[key] == summary[key], key
     assert report["methods"][0]["sigma2"] == summary["sigma2"]
+    spectrum = (summary["varsigma"], summary["opnorm"])
+    for name, preset in (("svrg", svrg_preset), ("spider", spider_preset)):
+        assert problem[name] == dataclasses.asdict(preset(20, summary["L"], *spectrum)), name
+
+
+def test_cli_advise_accepts_a_zero_smoothness_constant(tmp_path, capsys):
+    # label-only rows make every feature zero, so L = 0: run accepts this
+    # config, and advise must not fail where run does not
+    path = tmp_path / "labels.txt"
+    path.write_text("+1\n-1\n+1\n-1\n")
+    doc = _config_doc(str(path), methods=[{"name": "sadmm", "beta": 1.0, "eta": 0.5}])
+    doc["dataset"]["d_hint"] = 3
+    del doc["split"]
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert main(["advise", "--config", str(cfg)]) == 0
+    problem = yaml.safe_load(capsys.readouterr().out)["problem"]
+    assert problem["L"] == 0.0
+    assert problem["svrg"]["c_tau"] == problem["svrg"]["c_eps"] == math.inf
 
 
 def test_experiment_config_validation(tmp_path, data_file):

@@ -218,8 +218,6 @@ def test_constraint_duplicates_add_up():
 
 
 def test_nonsmooth_validation():
-    with pytest.raises(UnsupportedProblemError):
-        NonsmoothSpec(weight=1.0, kind="group_lasso")
     with pytest.raises(ValueError):
         NonsmoothSpec(weight=-0.5)
     with pytest.raises(ValueError, match="finite"):
@@ -270,7 +268,6 @@ def test_full_set_passes_read_features_in_place(make_dataset):
     w = SolverState(x=x, y=np.zeros(50), lam=np.zeros(50))
     passes = {
         "full_gradient": lambda: full_gradient(p, x),
-        "batch_mean_grad over 0..n-1": lambda: batch_mean_grad(p, x, np.arange(p.n)),
         "stationarity": lambda: stationarity(p, w),
     }
     for name, fn in passes.items():
