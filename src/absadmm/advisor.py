@@ -217,7 +217,11 @@ def advise(p: ProblemInstance, sigma2: Optional[float] = None) -> AdvisorReport:
     """Assemble the report for a problem instance: L, the constraint's
     spectrum and norms, and both presets.  A given (beta, eta) pair is checked
     with ``feasibility_at``."""
-    L = estimate_L(p)
+    return _report(p, estimate_L(p), sigma2)
+
+
+def _report(p: ProblemInstance, L: float, sigma2: Optional[float]) -> AdvisorReport:
+    """``advise``'s report for a problem whose smoothness constant L is known."""
     varsigma, opnorm = p.constraint.spectrum
     return AdvisorReport(
         n=p.n,

@@ -39,22 +39,7 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.ascontiguousarray(np.asarray(self.labels, dtype=np.float64))
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
-        if labs.shape != (feats.shape[0],):
-            raise ValueError(
-                f"labels shape {labs.shape} does not match {feats.shape[0]} rows"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain non-finite entries")
-        if not np.all(np.abs(labs) == 1.0):
-            raise ValueError("labels must be exactly -1 or +1")
-        feats.flags.writeable = False
-        labs.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        _hold(self, self.features, self.labels, check_finite=True)
 
     @property
     def n(self) -> int:
@@ -63,6 +48,42 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+
+def _hold(ds, features, labels, check_finite):
+    """Check the arrays of a ``Dataset`` and store them in ``ds``, read-only.
+
+    Without ``check_finite`` the O(n*d) finiteness pass is skipped; see
+    ``_finite_dataset``.
+    """
+    feats = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
+    labs = np.ascontiguousarray(np.asarray(labels, dtype=np.float64))
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+        raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
+    if labs.shape != (feats.shape[0],):
+        raise ValueError(
+            f"labels shape {labs.shape} does not match {feats.shape[0]} rows"
+        )
+    if check_finite and not np.all(np.isfinite(feats)):
+        raise ValueError("features contain non-finite entries")
+    if not np.all(np.abs(labs) == 1.0):
+        raise ValueError("labels must be exactly -1 or +1")
+    feats.flags.writeable = False
+    labs.flags.writeable = False
+    object.__setattr__(ds, "features", feats)
+    object.__setattr__(ds, "labels", labs)
+
+
+def _finite_dataset(features, labels) -> Dataset:
+    """A ``Dataset`` of features known to be finite, without the O(n*d) pass that checks it.
+
+    The loader's features are finite, since the parser rejects every
+    non-finite number and max-abs scaling keeps finite values in [-1, 1], and
+    so are the rows of a ``Dataset``.  The shape and label checks still run.
+    """
+    ds = object.__new__(Dataset)
+    _hold(ds, features, labels, check_finite=False)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -86,19 +107,17 @@ _BLOCK_BYTES = 1 << 18
 # Blocks are parsed on this many threads, with one job more than the workers
 # in flight so that none idles while the calling thread waits on the earliest
 # block and reads the next one; numpy releases the interpreter lock in most of
-# its array operations.  The same threads then write the blocks' rows into the
-# dense matrix and scale its columns.  Parsing on two workers cut fresh-process
-# loads of the bench files on two CPUs by 14% (2.4 MB) and 28% (13 MB);
-# filling and scaling on them as well cut a further 10 to 11% and 7 to 9%.
-# Pinned to one CPU, the workers take turns: pooled parsing took 12 to 14%
-# longer than parsing on the calling thread, and the pooled fill and scale
-# moved the loads by -2% to +1%.
+# its array operations.  The same threads then write the blocks' rows into
+# the dense matrix.  The column maxima for ``normalize`` are taken on the
+# calling thread: ``np.maximum.at`` holds the lock, and on the pool the warm
+# maxima of the bench files took 3.5 to 3.9 ms (2.4 MB) and 10 ms (13 MB)
+# against 2.9 to 3.0 and 7.3 to 7.6 ms on one thread.  Parsing on two workers cut
+# fresh-process loads of the bench files on two CPUs by 14% (2.4 MB) and 28%
+# (13 MB); filling and scaling the dense matrix on them as well cut a further
+# 10 to 11% and 7 to 9%.  Pinned to one CPU, the workers take turns: pooled
+# parsing took 12 to 14% longer than parsing on the calling thread, and the
+# pooled fill and scale moved the loads by -2% to +1%.
 _WORKERS = 2
-
-# With ``normalize``, the column scales are taken and applied in this many
-# row chunks, one job each.  In warm loads of the 2.4 MB bench file on two
-# CPUs, 8 chunks were as fast as any count from 1 to 64.
-_SCALE_CHUNKS = 8
 
 # Columns are stored as int32 until the dense matrix is filled.
 _MAX_INDEX = 2**31 - 1
@@ -315,6 +334,23 @@ def _numbers(words, byte, where, seq, head, nxt, end):
     return nums
 
 
+def _convert(words, byte, where, seq, head, nxt, end, integers):
+    """The valid numbers from ``head`` to ``end``, bitwise as ``float``; see ``_numbers``.
+
+    When ``integers`` says the block holds no dot and no exponent mark, and no
+    number has more than eight digits, each number is its one word of digits,
+    negated after a '-'.  That is ``_numbers``' fast path at decimal exponent 0,
+    where it multiplies and divides by 1.0 (by -1.0 after a '-'), so "-0"
+    still reads as -0.0.
+    """
+    if integers:
+        size = end - head - (seq[nxt] == _SIGN)
+        if np.all(size <= 8):
+            nums = _value(_digits(words, end, size)).astype(np.float64)
+            return np.negative(nums, out=nums, where=byte[head] == ord("-"))
+    return _numbers(words, byte, where, seq, head, nxt, end)
+
+
 class _BadToken(Exception):
     """The first offending token of a block: its code, its 1-based line in the block, its bytes."""
 
@@ -392,32 +428,43 @@ def _parse_block(buf, d_hint):
     nxt = opens + 1
     nxt[pairs_at] = colon_at + 1
     del opens, colons, colon_at
-    good = ~bad
-    if bad.any():
+    # Without a dot or an exponent mark, every valid number is an integer.
+    integers = b"." not in buf and b"e" not in buf and b"E" not in buf
+    any_bad = bad.any()
+    if any_bad:
+        good = ~bad
         nums = np.zeros(starts.size)
-        nums[good] = _numbers(words, byte, where, seq, head[good], nxt[good], ends[good])
+        nums[good] = _convert(words, byte, where, seq, head[good], nxt[good], ends[good], integers)
     else:
-        nums = _numbers(words, byte, where, seq, head, nxt, ends)
+        nums = _convert(words, byte, where, seq, head, nxt, ends, integers)
+    del head, nxt
     y = nums[labels_at]
     val = nums[pairs_at]
 
     prev = np.empty_like(idx)
     prev[1:] = idx[:-1]
     prev[is_label[pairs_at - 1]] = 0
-    checks = [idx < 1, idx == prev, idx < prev]
-    codes = [_NOT_ONE_BASED, _DUPLICATE, _DECREASING]
-    if d_hint is not None:
-        checks.append(idx > d_hint)
-        codes.append(_EXCEEDS_HINT)
-    checks += [idx > _MAX_INDEX, ~np.isfinite(val)]
-    codes += [_TOO_LARGE, _NON_FINITE]
-    code = np.zeros(starts.size, dtype=np.int8)
-    code[pairs_at] = np.select(checks, codes, _OK)
-    code[labels_at[~np.isfinite(y)]] = _BAD_LABEL
-    code[bad] = np.where(is_label[bad], _BAD_LABEL, _MALFORMED)
-    failed = np.flatnonzero(code)
-    if failed.size:
-        k = failed[0]
+    # The block is checked as a whole; only a block that fails is diagnosed
+    # token by token, for its first offending token.
+    limit = _MAX_INDEX if d_hint is None else d_hint
+    if (
+        any_bad
+        or not np.all(idx > prev)
+        or idx.max(initial=0) > limit
+        or not np.all(np.isfinite(nums))
+    ):
+        checks = [idx < 1, idx == prev, idx < prev]
+        codes = [_NOT_ONE_BASED, _DUPLICATE, _DECREASING]
+        if d_hint is not None:
+            checks.append(idx > d_hint)
+            codes.append(_EXCEEDS_HINT)
+        checks += [idx > _MAX_INDEX, ~np.isfinite(val)]
+        codes += [_TOO_LARGE, _NON_FINITE]
+        code = np.zeros(starts.size, dtype=np.int8)
+        code[pairs_at] = np.select(checks, codes, _OK)
+        code[labels_at[~np.isfinite(y)]] = _BAD_LABEL
+        code[bad] = np.where(is_label[bad], _BAD_LABEL, _MALFORMED)
+        k = np.flatnonzero(code)[0]
         token = buf[starts[k] - pad : ends[k] - pad]
         raise _BadToken(code[k], int(np.searchsorted(breaks, starts[k])) + 1, token)
 
@@ -490,7 +537,7 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     than the parse.  Longer streams are loaded on a pool of ``_WORKERS``
     threads: the blocks are parsed ``_WORKERS + 1`` at a time and collected in
     file order, so the first bad line of the file is the one reported, and
-    then the same pool fills and scales the dense matrix.
+    then the same pool fills the dense matrix.
     """
     fault = d_hint_fault(d_hint)
     if fault:
@@ -535,8 +582,8 @@ def _assemble(blocks, d_hint, normalize, split_seed, each):
     """The ``Dataset`` (or, with a ``split_seed``, the ``SplitPair``) of the parsed blocks.
 
     ``each`` maps a function over its inputs, as ``map`` or a pool's ``map``
-    does; the blocks are written and the columns scaled by its jobs.  Each
-    block's triplets go when its rows are written.
+    does; its jobs write the blocks.  Each block's triplets go when its rows
+    are written.
     """
     n = sum(labels.size for labels, _, _, _ in blocks)
     if n == 0:
@@ -554,6 +601,15 @@ def _assemble(blocks, d_hint, normalize, split_seed, each):
         perm, n_train = _split_order(n, split_seed)
         row_of[perm] = np.arange(n)
         labels = labels[perm]
+    scale = None
+    if normalize:
+        # the scales of ``scale_max_abs``: a maximum is exact, and a column
+        # with no nonzero entry, of either sign, keeps its entries.  This
+        # thread takes them, since ``np.maximum.at`` holds the interpreter lock.
+        scale = np.zeros(d)
+        for _, _, cols, vals in blocks:
+            np.maximum.at(scale, cols, np.abs(vals))
+        scale[scale == 0.0] = 1.0
     feats = np.zeros((n, d))
 
     def handed_over():
@@ -561,24 +617,23 @@ def _assemble(blocks, d_hint, normalize, split_seed, each):
             block, blocks[k] = blocks[k], None
             yield block
 
-    for _ in each(partial(_fill_rows, feats.reshape(-1), d, row_of), handed_over(), row0):
+    for _ in each(partial(_fill_rows, feats.reshape(-1), d, row_of, scale), handed_over(), row0):
         pass
-    if normalize:
-        _scale_columns_in_place(feats, each)
     if split_seed is not None:
         return _halves(feats, labels, n_train)
-    return Dataset(feats, labels)
+    return _finite_dataset(feats, labels)
 
 
-def _fill_rows(flat, d, row_of, block, first):
+def _fill_rows(flat, d, row_of, scale, block, first):
     """Write a parsed block, whose first row is file row ``first``, into the flat n x d buffer.
 
-    The blocks' rows are disjoint, so blocks are written at once without a lock.
+    With a ``scale``, each value is divided by its column's.  The blocks' rows
+    are disjoint, so blocks are written at once without a lock.
     """
     _, row_pairs, cols, vals = block
     where = np.repeat(row_of[first : first + row_pairs.size] * d, row_pairs)
     where += cols
-    flat[where] = vals
+    flat[where] = vals if scale is None else vals / scale.take(cols)
 
 
 def parse_libsvm(text, d_hint=None) -> Dataset:
@@ -603,9 +658,10 @@ def load_libsvm(path, d_hint=None, *, normalize=False, split_seed=None):
 
     Returns the ``Dataset`` that ``parse_libsvm`` gives for the file's text.
     The keywords give the results of ``scale_max_abs`` and ``split_half``
-    bitwise, while holding one dense matrix: with ``normalize`` the columns
-    are scaled in place, and with a ``split_seed`` the rows are filled in split
-    order and a ``SplitPair`` of row views is returned.  A split of one row
+    bitwise, while holding one dense matrix: with ``normalize`` each parsed
+    value is divided by its column's max |value| as it is written, and with a
+    ``split_seed`` the rows are filled in split order and a ``SplitPair`` of
+    row views is returned.  A split of one row
     raises ``SplitError``, a ``ValueError``, as ``split_half`` does.  A
     truncated or corrupt ``.gz`` file is a ``ParseError`` naming the file.
     """
@@ -637,10 +693,10 @@ def _split_order(n, seed):
 
 
 def _halves(feats, labels, n_train) -> SplitPair:
-    """Train and test as views of the rows before and from ``n_train``."""
+    """Train and test as views of the rows before and from ``n_train``; ``feats`` is finite."""
     return SplitPair(
-        train=Dataset(feats[:n_train], labels[:n_train]),
-        test=Dataset(feats[n_train:], labels[n_train:]),
+        train=_finite_dataset(feats[:n_train], labels[:n_train]),
+        test=_finite_dataset(feats[n_train:], labels[n_train:]),
     )
 
 
@@ -653,32 +709,8 @@ def split_half(ds: Dataset, seed) -> SplitPair:
     return _halves(ds.features[perm], ds.labels[perm], n_train)
 
 
-def _scale_columns_in_place(feats, each=map):
-    """Divide each column by its max absolute value; zero columns stay zero.
-
-    The max of |x| is max(max x, -min x), so no n x d temporary is made.  The
-    rows are taken in chunks, one job of ``each`` (``map`` or a pool's
-    ``map``) per chunk: the chunks' maxima are combined before any chunk is
-    divided.  A max is exact, and a zero scale, of either sign, becomes 1, so
-    the result does not depend on the chunks.
-    """
-    chunks = np.array_split(feats, min(feats.shape[0], _SCALE_CHUNKS))
-
-    def max_abs(chunk):
-        return np.maximum(chunk.max(axis=0), -chunk.min(axis=0))
-
-    scale = np.maximum.reduce(list(each(max_abs, chunks)))
-    scale[scale == 0.0] = 1.0
-
-    def divide(chunk):
-        chunk /= scale
-
-    for _ in each(divide, chunks):
-        pass
-
-
 def scale_max_abs(ds: Dataset) -> Dataset:
     """Scale each feature column by its max absolute value; zero columns stay zero."""
-    feats = ds.features.copy()
-    _scale_columns_in_place(feats)
-    return Dataset(feats, ds.labels)
+    scale = np.abs(ds.features).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    return Dataset(ds.features / scale, ds.labels)

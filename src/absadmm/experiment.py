@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .advisor import advise, estimate_L, feasibility_at
+from .advisor import _report, estimate_L, feasibility_at
 from .datasets import d_hint_fault, load_libsvm
 from .errors import ConfigError, DivergenceError, SplitError
 from .estimators import OracleTally, estimate_sigma2
@@ -512,7 +512,7 @@ def describe_run(cfg: ExperimentConfig) -> dict:
             "sufficient_conditions": dataclasses.asdict(feas),
         }
         methods.append(entry)
-    return {"problem": dataclasses.asdict(advise(problem, sigma2=sigma2)), "methods": methods}
+    return {"problem": dataclasses.asdict(_report(problem, L, sigma2)), "methods": methods}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:

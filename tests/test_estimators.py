@@ -204,3 +204,46 @@ def test_estimate_sigma2_subsample_close(small):
     assert approx > 0.0
     # subsampled value is the mean of a subset of the same deviations
     assert approx <= 4.0 * exact
+
+
+def test_batch_variance_models(make_dataset):
+    """The variance model the batch rule assumes, pinned on a seeded problem.
+
+    An anchor is the mean gradient of N distinct rows, whose mean squared
+    error against the full gradient is sigma2 * (n - N) / (N * (n - 1)), the
+    finite-population correction of sigma2 / N (sigma2 the mean squared
+    deviation of a component gradient).  SVRG's inner batch is drawn with
+    replacement, so its error is the variance of the component differences
+    over b.
+    """
+    p = build_fused_logistic(make_dataset(600, 20, seed=23), 0.02)
+    n, d = p.n, p.dataset.d
+    rng = np.random.default_rng(3)
+    x = 0.3 * rng.standard_normal(d)
+    g = full_gradient(p, x)
+    sigma2 = estimate_sigma2(p, x, n, rng)
+    draws = 400
+
+    def mse(estimate):
+        return np.mean([np.sum((estimate() - g) ** 2) for _ in range(draws)])
+
+    for N in (n // 6, 2 * n // 3):
+        measured = mse(
+            lambda: minibatch_grad(p, x, sample_indices(n, N, "without_replacement", rng), OracleTally())
+        )
+        corrected = sigma2 * (n - N) / (N * (n - 1))
+        assert measured == pytest.approx(corrected, rel=0.1), N
+    # at N = 2n/3 the uncorrected sigma2 / N is about three times too large
+    assert abs(measured / (sigma2 / N) - 1.0) > 0.5
+
+    ref_x = x + 0.5 * rng.standard_normal(d)
+    ref_grad = full_gradient(p, ref_x)
+    diffs = np.array(
+        [batch_mean_grad(p, x, [i]) - batch_mean_grad(p, ref_x, [i]) for i in range(n)]
+    )
+    b = 32
+    measured = mse(
+        lambda: svrg_grad(p, x, sample_indices(n, b, "with_replacement", rng), ref_x, ref_grad, OracleTally())
+    )
+    spread = np.mean(np.sum((diffs - diffs.mean(axis=0)) ** 2, axis=1))
+    assert measured == pytest.approx(spread / b, rel=0.1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import absadmm.advisor as advisor
 import absadmm.experiment as experiment
 import absadmm.solvers as solvers
 from absadmm.advisor import spider_preset, svrg_preset
@@ -978,6 +979,28 @@ def test_cli_advise_describes_the_run_it_sits_beside(tmp_path, capsys):
     spectrum = (summary["varsigma"], summary["opnorm"])
     for name, preset in (("svrg", svrg_preset), ("spider", spider_preset)):
         assert problem[name] == dataclasses.asdict(preset(20, summary["L"], *spectrum)), name
+
+
+def test_cli_advise_estimates_L_once(config_file, capsys, monkeypatch):
+    # set-up's L is the report's: advise makes no second O(n*d) pass for it
+    path = config_file(sigma2=0.005)
+    cfg = load_config(path)
+    problem, _, sigma2, _, _ = experiment._set_up(cfg)
+    want = yaml.safe_dump(
+        {"problem": dataclasses.asdict(advisor.advise(problem, sigma2=sigma2))}, sort_keys=False
+    )
+    calls = []
+    estimate_L = advisor.estimate_L
+
+    def counting(p):
+        calls.append(p)
+        return estimate_L(p)
+
+    monkeypatch.setattr(advisor, "estimate_L", counting)
+    monkeypatch.setattr(experiment, "estimate_L", counting)
+    assert main(["advise", "--config", path]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith(want.removesuffix("\n") + "\nmethods:\n")
 
 
 def test_cli_advise_accepts_a_zero_smoothness_constant(tmp_path, capsys):

@@ -249,6 +249,64 @@ def test_boundary_numbers_read_bitwise_as_float_in_every_block_size():
         _assert_read_as_float(_BOUNDARY, block_bytes)
 
 
+@st.composite
+def _integer(draw):
+    """An integer token: an optional sign, then 1 to 8 digits or 9 to 12, leading zeros allowed."""
+    size = draw(st.one_of(st.integers(1, 8), st.integers(9, 12)))
+    digits = draw(st.text("0123456789", min_size=size, max_size=size))
+    return draw(st.sampled_from(["", "+", "-"])) + digits
+
+
+_INTEGERS = st.one_of(_integer(), st.sampled_from(["-0", "+0", "0", "-00000000", "99999999", "-000000001"]))
+
+
+@given(tokens=st.lists(_INTEGERS, min_size=1, max_size=30), block_bytes=st.integers(16, 256))
+@settings(max_examples=150, deadline=None)
+def test_integer_blocks_read_bitwise_as_float(tokens, block_bytes):
+    """Blocks without a dot or an exponent mark, whose numbers have at most
+    eight digits, take the one-word integer path and never reach ``_numbers``;
+    with a longer number, the block takes ``_numbers``.  Either way each value
+    is ``float`` of its token, bitwise, and the reference parser agrees."""
+    calls = []
+    numbers = datasets._numbers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_numbers", lambda *a: calls.append(a) or numbers(*a))
+        _assert_read_as_float(tokens, block_bytes)
+    assert bool(calls) == any(len(tok.lstrip("+-")) > 8 for tok in tokens)
+    text = "".join(f"{tok} 1:{tok}\n" for tok in tokens).encode()
+    assert _parse_in_blocks(text, block_bytes, d_hint=1) == _outcome(reference_parse, text, 1)
+
+
+# an integer-only text of 40 lines, with -0 values, whose 31st line is
+# replaced by each bad line
+_INTEGER_LINES = [f"{'+1' if k % 3 else '-1'} {1 + k % 4}:1 6:{k % 7} 9:-{k}\n".encode() for k in range(40)]
+
+
+@pytest.mark.parametrize(
+    "bad, d_hint, message",
+    [
+        (b"+1 2:1 2:3\n", None, "line 31: duplicate feature index 2"),
+        (b"+1 3:1 2:3\n", None, "line 31: feature indices not increasing at 2"),
+        (b"-1 0:1 2:3\n", None, "line 31: feature index 0 is not 1-based"),
+        (b"+1 2:1 10:3\n", 9, "line 31: feature index 10 exceeds d_hint=9"),
+        (b"+1 2147483648:1\n", None, "line 31: feature index 2147483648 exceeds the largest supported index 2147483647"),
+        (b"+1 2:1 3:1x\n", None, "line 31: malformed pair '3:1x'"),
+        (b"+1 2:1 3:\xff\n", None, "line 31: malformed pair '3:\ufffd'"),
+        (b"-1x 2:1\n", None, "line 31: bad label token '-1x'"),
+    ],
+    ids=["duplicate", "decreasing", "zero", "above_hint", "too_large", "bad_byte", "bad_utf8", "label"],
+)
+@pytest.mark.parametrize("block_bytes", [16, 48, 100, datasets._BLOCK_BYTES])
+def test_faults_in_integer_blocks_name_their_line(bad, d_hint, message, block_bytes):
+    lines = list(_INTEGER_LINES)
+    lines[30] = bad
+    text = b"".join(lines)
+    assert _parse_in_blocks(text, block_bytes, d_hint) == message
+    # the reference decodes UTF-8 and has no largest index
+    if b"\xff" not in bad and b"2147483648" not in bad:
+        assert _outcome(reference_parse, text, d_hint) == message
+
+
 def test_four_significant_digits_never_reach_fromstring(tmp_path, monkeypatch):
     """Values written with %.4g, the format of the wide bench file, take the
     one-word path: plain, with zeros after the dot, and with exponents.

@@ -111,10 +111,9 @@ def test_split_set_up_matches_library_pipeline(tmp_path, monkeypatch, case, norm
     assert np.shares_memory(buffer, test.features)
 
 
-def test_many_block_load_matches_library_pipeline(tmp_path, monkeypatch):
-    """Blocks filled and columns scaled on the pool give the library pipeline's bytes."""
+def _decimal_lines(n):
+    """Signed decimal values; the all-zero column 3 holds explicit zeros of either sign."""
     rng = np.random.default_rng(4)
-    n, d_hint, block = 80, 9, 64
     lines = []
     for i in range(n):
         pairs = [f"1:{-rng.uniform(0.5, 3.0)!r}"]  # largest |x| of column 1 is negative
@@ -129,21 +128,67 @@ def test_many_block_load_matches_library_pipeline(tmp_path, monkeypatch):
             pairs.append(f"4:{rng.standard_normal()!r}")
         pairs.append(f"6:{rng.integers(-9, 10)}")  # the largest index, below d_hint
         lines.append(("+1 " if i % 2 else "-1 ") + " ".join(pairs) + "\n")
-    path = tmp_path / "data.txt"
-    path.write_text("".join(lines))
-    monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
-    assert path.stat().st_size > 10 * block
+    return lines
 
-    plain = load_libsvm(path, d_hint=d_hint)
-    assert _same(plain, reference_parse("".join(lines), d_hint=d_hint))
-    assert plain.d == d_hint and np.signbit(plain.features[:, 2]).any()
-    scaled = scale_max_abs(plain)
-    assert _same(load_libsvm(path, d_hint=d_hint, normalize=True), scaled)
-    for seed in (0, 5, 11):
-        for normalize, source in ((False, plain), (True, scaled)):
-            got = load_libsvm(path, d_hint=d_hint, normalize=normalize, split_seed=seed)
-            want = split_half(source, seed)
-            assert _same(got.train, want.train) and _same(got.test, want.test)
+
+def _one_hot_lines(n):
+    """a9a-like integer rows: two one-hot groups (columns 1-3 and 4-5), explicit
+    -0 entries in column 6 and nothing else there, column 7 never written, and
+    column 8 written only in the last row, so in the last block."""
+    rng = np.random.default_rng(6)
+    lines = []
+    for i in range(n):
+        pairs = [f"{rng.integers(1, 4)}:1", f"{rng.integers(4, 6)}:{rng.integers(1, 4)}"]
+        if i % 4 == 0:
+            pairs.append("6:-0")
+        if i == n - 1:
+            pairs.append("8:-2")
+        lines.append(("+1 " if rng.random() < 0.5 else "-1 ") + " ".join(pairs) + "\n")
+    return lines
+
+
+def test_many_block_load_matches_library_pipeline(tmp_path, monkeypatch):
+    """Blocks parsed, scaled and filled on the pool give the library pipeline's bytes.
+
+    The decimal input takes the general number path; the one-hot input, all
+    integers, takes the one-word integer path in every block.
+    """
+    d_hint, block = 9, 64
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+    calls = []
+    numbers = datasets._numbers
+    monkeypatch.setattr(datasets, "_numbers", lambda *a: calls.append(a) or numbers(*a))
+    cases = [("decimal", _decimal_lines(80), 2), ("one_hot", _one_hot_lines(120), 5)]
+    for name, lines, signed_zero_column in cases:
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > 10 * block
+        calls.clear()
+
+        plain = load_libsvm(path, d_hint=d_hint)
+        assert _same(plain, reference_parse("".join(lines), d_hint=d_hint)), name
+        assert plain.d == d_hint and np.signbit(plain.features[:, signed_zero_column]).any()
+        assert bool(calls) == (name == "decimal")
+        scaled = scale_max_abs(plain)
+        assert _same(load_libsvm(path, d_hint=d_hint, normalize=True), scaled), name
+        for seed in (0, 5, 11):
+            for normalize, source in ((False, plain), (True, scaled)):
+                got = load_libsvm(path, d_hint=d_hint, normalize=normalize, split_seed=seed)
+                want = split_half(source, seed)
+                assert _same(got.train, want.train) and _same(got.test, want.test), name
+                for half in (got.train, got.test):
+                    assert np.all(np.isfinite(half.features))
+                    assert not half.features.flags.writeable and half.features.flags.c_contiguous
+                    assert not half.labels.flags.writeable and np.all(np.abs(half.labels) == 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_still_rejects_non_finite_features(bad):
+    # the loader skips this pass; the public constructor keeps it
+    feats = np.ones((3, 2))
+    feats[1, 0] = bad
+    with pytest.raises(ValueError, match="features contain non-finite entries"):
+        Dataset(feats, np.ones(3))
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
