@@ -247,35 +247,40 @@ def _value(word):
     return (w & _LOW_HALF) * np.uint64(10000) + ((w >> np.uint64(32)) & _LOW_HALF)
 
 
-def _indices(words, byte, first, colons):
+def _index(digits):
+    """The index that the ASCII ``digits`` spell, saturated at _MAX_INDEX + 1."""
+    digits = digits.lstrip(b"0")  # ``int`` refuses more than 4,300 digits, zeros included
+    return min(int(digits or b"0"), _MAX_INDEX + 1) if len(digits) <= 10 else _MAX_INDEX + 1
+
+
+def _indices(words, padded, first, colons, bad):
     """Read each index, the digits from ``first`` up to its colon.
 
-    An index of up to eight digits is one word.  A longer one is read digit
-    by digit and saturates above _MAX_INDEX; messages re-read the exact value.
-    A malformed pair's value is never used.
+    An index of up to eight digits is one word, and a longer one is
+    ``_index`` of its digits.  A malformed pair (``bad``) is read as one word
+    whatever its length, since its value is never used.
     """
     size = colons - first
     idx = _value(_digits(words, colons, np.minimum(size, 8))).astype(np.int64)
-    long = np.flatnonzero(size > 8)
-    if long.size:
-        first, last, value = first[long], colons[long] - 1, np.zeros(long.size, dtype=np.int64)
-        for j in range(int(size[long].max())):
-            at = np.minimum(first + j, last)
-            more = np.minimum(value * 10 + byte[at] - ord("0"), _MAX_INDEX + 1)
-            value = np.where(first + j <= last, more, value)
-        idx[long] = value
+    long = np.flatnonzero((size > 8) & ~bad)
+    idx[long] = [_index(padded[a:b]) for a, b in zip(first[long].tolist(), colons[long].tolist())]
     return idx
 
 
-def _numbers(words, byte, where, seq, head, nxt, end):
+def _floats(padded, heads, ends):
+    """Python's ``float`` of each ``padded[a:b]``, ``a`` from ``heads`` and ``b`` from ``ends``."""
+    return [float(padded[a:b]) for a, b in zip(heads.tolist(), ends.tolist())]
+
+
+def _numbers(words, padded, byte, where, seq, head, nxt, end):
     """Convert the numbers that start at ``head`` and end at ``end``, bitwise as ``float``.
 
     ``nxt`` is the index in ``where``/``seq`` of each number's first non-digit
     byte at or after ``head``; the numbers are valid under the grammar.  When
     the mantissa (dot included) has at most eight bytes after its leading
     zeros and at most 16 in all, and the decimal exponent is within 22, the
-    value is one exact product or quotient.  Every other number is converted
-    by ``np.fromstring``.
+    value is one exact product or quotient.  Every other number is ``float`` of
+    its token (``_floats``); the grammar keeps out ``nan``, ``1_0`` and spaces.
     """
     signed = seq[nxt] == _SIGN
     j = nxt + signed
@@ -322,19 +327,11 @@ def _numbers(words, byte, where, seq, head, nxt, end):
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        # the text with every byte outside the slow numbers blanked
-        edge = np.zeros(byte.size, dtype=np.int8)
-        edge[head[slow]] = 1
-        edge[end[slow]] = -1
-        text = np.where(np.cumsum(edge, dtype=np.int8), byte, np.uint8(ord(" ")))
-        exact = np.fromstring(text.tobytes(), sep=" ")
-        if exact.size != slow.size:
-            raise RuntimeError("LIBSVM block: number count disagrees with the token scan")
-        nums[slow] = exact
+        nums[slow] = _floats(padded, head[slow], end[slow])
     return nums
 
 
-def _convert(words, byte, where, seq, head, nxt, end, integers):
+def _convert(words, padded, byte, where, seq, head, nxt, end, integers):
     """The valid numbers from ``head`` to ``end``, bitwise as ``float``; see ``_numbers``.
 
     When ``integers`` says the block holds no dot and no exponent mark, and no
@@ -348,7 +345,7 @@ def _convert(words, byte, where, seq, head, nxt, end, integers):
         if np.all(size <= 8):
             nums = _value(_digits(words, end, size)).astype(np.float64)
             return np.negative(nums, out=nums, where=byte[head] == ord("-"))
-    return _numbers(words, byte, where, seq, head, nxt, end)
+    return _numbers(words, padded, byte, where, seq, head, nxt, end)
 
 
 class _BadToken(Exception):
@@ -418,7 +415,7 @@ def _parse_block(buf, d_hint):
     bad[pairs_at[(colon_at != opens[pairs_at] + 1) | (colons == first)]] = True
 
     words = np.ndarray(byte.size - 7, dtype="<u8", buffer=padded, strides=(1,))
-    idx = _indices(words, byte, first, colons)
+    idx = _indices(words, padded, first, colons, bad[pairs_at])
     del first
 
     # Each number starts at its token or just after its colon, and ``nxt``
@@ -434,9 +431,11 @@ def _parse_block(buf, d_hint):
     if any_bad:
         good = ~bad
         nums = np.zeros(starts.size)
-        nums[good] = _convert(words, byte, where, seq, head[good], nxt[good], ends[good], integers)
+        nums[good] = _convert(
+            words, padded, byte, where, seq, head[good], nxt[good], ends[good], integers
+        )
     else:
-        nums = _convert(words, byte, where, seq, head, nxt, ends, integers)
+        nums = _convert(words, padded, byte, where, seq, head, nxt, ends, integers)
     del head, nxt
     y = nums[labels_at]
     val = nums[pairs_at]
@@ -481,7 +480,7 @@ def _message(code, lineno, token, d_hint):
         return f"line {lineno}: malformed pair {shown!r}"
     if code == _NON_FINITE:
         return f"line {lineno}: non-finite value in pair {shown!r}"
-    idx = int(token.partition(b":")[0])
+    idx = (token.partition(b":")[0].lstrip(b"0") or b"0").decode()
     return f"line {lineno}: " + {
         _NOT_ONE_BASED: f"feature index {idx} is not 1-based",
         _DUPLICATE: f"duplicate feature index {idx}",
@@ -674,12 +673,12 @@ def load_libsvm(path, d_hint=None, *, normalize=False, split_seed=None):
 
 
 def dump_libsvm(ds: Dataset) -> str:
-    """Serialize a ``Dataset`` to LIBSVM text; reparsing reproduces it exactly."""
+    """LIBSVM text of ``ds`` that ``parse_libsvm(text, d_hint=ds.d)`` reproduces bitwise."""
     lines = []
     for i in range(ds.n):
         parts = ["+1" if ds.labels[i] > 0 else "-1"]
         row = ds.features[i]
-        for j in np.nonzero(row)[0]:
+        for j in np.flatnonzero((row != 0) | np.signbit(row)):  # -0.0 included
             parts.append(f"{j + 1}:{float(row[j])!r}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

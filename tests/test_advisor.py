@@ -14,8 +14,17 @@ from absadmm.advisor import (
     svrg_preset,
 )
 from absadmm.datasets import Dataset
+from absadmm.estimators import estimate_sigma2
 from absadmm.kernel import make_admm_params
-from absadmm.problems import ConstraintSpec, build_difference_matrix, build_fused_logistic
+from absadmm.problems import (
+    ConstraintSpec,
+    NonsmoothSpec,
+    ProblemInstance,
+    build_difference_matrix,
+    build_fused_logistic,
+)
+from absadmm.schedulers import SchedulerParams
+from absadmm.solvers import SolverConfig, run
 
 
 @pytest.fixture
@@ -215,3 +224,45 @@ def test_feasibility_at_default_metric(rownorm4):
     assert zmin == pytest.approx(1.0, abs=1e-12)
     direct = sadmm_feasibility(L, varsigma, zmin, zmax, 1.0, 8.0, 1.0)
     assert feas.rho == direct.rho
+
+
+@pytest.mark.parametrize(
+    "kind, method, ratio",
+    [("svrg", "svrg_admm_adaptive", 0.95), ("spider", "spider_admm_adaptive", 0.6)],
+)
+def test_certified_presets_decrease_stationarity(make_dataset, kind, method, ratio):
+    """On A = I (varsigma = opnorm = 1) both presets certify their settings.
+    Run at them over a 40-pass budget, every anchor is the whole set, since
+    c*sigma2/epsilon is far above n, and the stationarity falls in every seed:
+    by about 10% (SVRG) and 50% (SPIDER) over these runs."""
+    ds = make_dataset(400, 6, seed=5, flip=0.05)
+    d = ds.d
+    identity = ConstraintSpec(np.arange(d), np.arange(d), np.ones(d), d, d)
+    p = ProblemInstance(ds, "sigmoid", 1e-3, identity, NonsmoothSpec(1e-3))
+    sigma2 = estimate_sigma2(p, np.zeros(d), p.n, None)  # exact: every row once
+    rep = advise(p, sigma2)
+    preset = getattr(rep, kind)
+    params = make_admm_params(identity, preset.beta, preset.eta, r=preset.r)
+    assert preset.bounds_ok
+    assert feasibility_at(params, preset.c_tau, rep.L, rep.varsigma, rep.opnorm).feasible
+    sched = SchedulerParams(
+        c_tau=preset.c_tau, c_eps=preset.c_eps, epsilon=0.01, sigma2=sigma2, n=p.n, tau_init=0.1
+    )
+    window = {"T" if kind == "svrg" else "q": preset.window}
+    for seed in range(5):
+        cfg = SolverConfig(
+            method=method,
+            admm=params,
+            sched=sched,
+            max_iters=10**6,
+            b=preset.b,
+            seed=seed,
+            oracle_budget=40 * p.n,
+            eval_stride=5,
+            **window,
+        )
+        trace = run(p, cfg).trace
+        anchors = [row for k, row in enumerate(trace) if k == 0 or row.epoch != trace[k - 1].epoch]
+        assert len(anchors) > 10 and all(row.batch_size == p.n for row in anchors)
+        stationarity = [row.stationarity for row in trace if row.stationarity is not None]
+        assert stationarity[-1] < ratio * stationarity[0], (seed, stationarity[0], stationarity[-1])

@@ -91,6 +91,14 @@ def test_roundtrip_exact():
     assert np.array_equal(back.labels, ds.labels)
 
 
+def test_roundtrip_keeps_negative_zeros_and_empty_last_columns():
+    feats = np.array([[-0.0, 1.0, 0.0, 0.0], [2.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0]])
+    ds = Dataset(feats, np.array([1.0, -1.0, 1.0]))
+    back = parse_libsvm(dump_libsvm(ds), d_hint=ds.d)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
 def test_load_gzip(tmp_path):
     path = tmp_path / "toy.txt.gz"
     with gzip.open(path, "wt") as fh:

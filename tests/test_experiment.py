@@ -709,6 +709,30 @@ def test_cli_run_bad_values_are_data_errors(tmp_path, capsys, data, line):
     assert f"data error: line {line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "advise"])
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (b"4:1 " + b"0" * 5000 + b"3:1", "feature indices not increasing at 3"),
+        (b"0" * 5000 + b"3:1 " + b"0" * 5000 + b"3:2", "duplicate feature index 3"),
+        (b"1" + b"0" * 5000 + b":1", "feature index 1" + "0" * 5000 + " exceeds the largest"),
+    ],
+    ids=["decreasing", "duplicate", "too_large"],
+)
+def test_cli_index_of_over_4300_digits_is_data_error(tmp_path, capsys, command, index, message):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"1 " + index + b"\n")
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_config_doc(str(path))))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line 1: {message}")
+    assert "Traceback" not in err
+
+
 def _damaged_gzip(path, damage):
     """A gzip file cut in half, or one whose first deflate block has the reserved type."""
     text = "".join(f"{1 if i % 2 else -1} 1:{i}.5 3:-{i}\n" for i in range(200))

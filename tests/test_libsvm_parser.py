@@ -41,7 +41,7 @@ _VALUES = st.one_of(
     st.just(0.0),
     st.just(0.0),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1.0, -2.0, 0.5, 3.25, 1e-05, -7e22, 5e-324, 1.5e300]),
+    st.sampled_from([1.0, -2.0, 0.5, 3.25, 1e-05, -7e22, 5e-324, 1.5e300, -0.0]),
     st.integers(-1000, 1000).map(float),
 )
 _LABELS = {1.0: ["+1", "1", "2.5", "1e0", ".5"], -1.0: ["-1", "0", "-3", "-0.5E1", "-.0"]}
@@ -89,8 +89,7 @@ def test_valid_text_matches_reference_bitwise(data, block_bytes):
     want = _outcome(reference_parse, text, d_hint)
     assert _parse_in_blocks(text, block_bytes, d_hint) == want
     if d_hint == ds.d:
-        # dump_libsvm drops zeros, so -0.0 reads back as 0.0
-        assert want[1:] == ((ds.features + 0.0).tobytes(), ds.labels.tobytes())
+        assert want[1:] == (ds.features.tobytes(), ds.labels.tobytes())
     elif isinstance(want, str):
         assert want == "no feature indices found and no d_hint given"
 
@@ -307,10 +306,10 @@ def test_faults_in_integer_blocks_name_their_line(bad, d_hint, message, block_by
         assert _outcome(reference_parse, text, d_hint) == message
 
 
-def test_four_significant_digits_never_reach_fromstring(tmp_path, monkeypatch):
+def test_four_significant_digits_never_reach_the_float_fallback(tmp_path, monkeypatch):
     """Values written with %.4g, the format of the wide bench file, take the
     one-word path: plain, with zeros after the dot, and with exponents.
-    Full-precision values do reach ``np.fromstring``."""
+    Full-precision values do reach ``_floats``."""
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((400, 6)) * 10.0 ** rng.integers(-15, 16, size=(400, 6))
     feats[rng.random(feats.shape) < 0.2] = 0.0
@@ -326,8 +325,8 @@ def test_four_significant_digits_never_reach_fromstring(tmp_path, monkeypatch):
         return np.array([[float(fmt % v) for v in row] for row in feats])
 
     calls = []
-    fromstring = np.fromstring
-    monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+    floats = datasets._floats
+    monkeypatch.setattr(datasets, "_floats", lambda *a: calls.append(a) or floats(*a))
     want = write("%.4g")
     text = path.read_text()
     assert re.search(r":-?0\.000[1-9]\d{3} ", text) and "e-" in text and "e+" in text
@@ -369,6 +368,65 @@ def test_values_and_bytes_outside_the_grammar(text, message):
 def test_leading_zeros_and_long_indices_read_exactly():
     ds = parse_libsvm(b"1 0001:2 000000000000000000000000003:4\n")
     assert ds.d == 3 and ds.features.tolist() == [[2.0, 0.0, 4.0]]
+
+
+def test_zero_padded_indices_of_9_to_30_digits_read_exactly():
+    for width in range(9, 31):
+        ds = parse_libsvm(f"1 {1:0{width}d}:2 {3:0{width}d}:4\n".encode(), d_hint=3)
+        assert ds.features.tolist() == [[2.0, 0.0, 4.0]], width
+        # the messages show the exact values either side of the largest index
+        for idx, d_hint, message in [
+            (2**31 - 1, 3, f"feature index {2**31 - 1} exceeds d_hint=3"),
+            (2**31, None, f"feature index {2**31} exceeds the largest supported index {2**31 - 1}"),
+        ]:
+            with pytest.raises(ParseError, match=re.escape(f"line 1: {message}")):
+                parse_libsvm(f"1 {idx:0{width}d}:1\n".encode(), d_hint=d_hint)
+
+
+def test_a_200000_digit_index_parses_in_well_under_a_second():
+    text = b"1 1:1 " + b"0" * 200_000 + b"2:3\n"
+    start = time.perf_counter()
+    ds = parse_libsvm(text)
+    assert time.perf_counter() - start < 0.5
+    assert ds.features.tolist() == [[1.0, 3.0]]
+
+
+_PADDED = b"0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"1 4:1 " + _PADDED + b"3:1\n", "line 1: feature indices not increasing at 3"),
+        (b"1 " + _PADDED + b"3:1 " + _PADDED + b"3:2\n", "line 1: duplicate feature index 3"),
+        (
+            b"1 1" + _PADDED + b":1\n",
+            f"line 1: feature index 1{_PADDED.decode()} exceeds the largest supported index 2147483647",
+        ),
+    ],
+    ids=["decreasing", "duplicate", "too_large"],
+)
+def test_indices_of_over_4300_digits_are_parse_errors(text, message):
+    """``int`` refuses strings of more than 4,300 digits; such an index is
+    still read, and named in its message without its leading zeros."""
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(text)
+    assert str(exc.value) == message
+
+
+def test_long_mantissas_and_exponents_read_bitwise_as_float():
+    rng = np.random.default_rng(8)
+    tokens = ["1" + "0" * 400 + "e-400", "-" + "0" * 500 + "1.5", "0." + "0" * 300 + "17e300"]
+    tokens += ["1e" + "0" * 400 + "5", "-2.5E-" + "0" * 50 + "300", "9" * 30 + "e-" + "0" * 20 + "29"]
+    for _ in range(40):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(17, 400))))
+        dot = int(rng.integers(0, len(digits)))
+        exp = int(rng.integers(-330, 300)) - dot
+        zeros = "0" * int(rng.integers(0, 30))
+        tokens.append(f"{digits[:dot]}.{digits[dot:]}e{'-' if exp < 0 else '+'}{zeros}{abs(exp)}")
+    tokens = [tok for tok in tokens if math.isfinite(float(tok))]
+    for block_bytes in [datasets._BLOCK_BYTES, 64, 200]:
+        _assert_read_as_float(tokens, block_bytes)
 
 
 def test_line_breaks_are_those_of_bytes_splitlines():
