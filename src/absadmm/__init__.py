@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .datasets import Dataset, SplitPair, dump_libsvm, load_libsvm, parse_libsvm, split_half
 from .errors import ConfigError, DivergenceError, ParseError, UnsupportedProblemError
-from .kernel import AdmmParams, SolverState, StationarityReport, make_admm_params, stationarity
+from .kernel import AdmmParams, StationarityReport, make_admm_params, stationarity
 from .problems import (
     ConstraintSpec,
     NonsmoothSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "objective",
     "prox_g",
     "AdmmParams",
-    "SolverState",
     "StationarityReport",
     "make_admm_params",
     "stationarity",

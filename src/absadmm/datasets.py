@@ -472,15 +472,26 @@ def _parse_block(buf, d_hint):
     return labels, row_pairs, (idx - 1).astype(np.int32), val, breaks.size
 
 
+# A message shows at most this many bytes of a token, or digits of an index,
+# so that one bad token of megabytes does not become a line of megabytes.
+_SHOWN_BYTES = 32
+
+
+def _more(text, unit):
+    """What follows the shown head of ``text``: ``…`` and its length, if cut."""
+    return f"… ({len(text)} {unit})" if len(text) > _SHOWN_BYTES else ""
+
+
 def _message(code, lineno, token, d_hint):
-    shown = token.decode("utf-8", "replace")
+    shown = repr(token[:_SHOWN_BYTES].decode("utf-8", "replace")) + _more(token, "bytes")
     if code == _BAD_LABEL:
-        return f"line {lineno}: bad label token {shown!r}"
+        return f"line {lineno}: bad label token {shown}"
     if code == _MALFORMED:
-        return f"line {lineno}: malformed pair {shown!r}"
+        return f"line {lineno}: malformed pair {shown}"
     if code == _NON_FINITE:
-        return f"line {lineno}: non-finite value in pair {shown!r}"
-    idx = (token.partition(b":")[0].lstrip(b"0") or b"0").decode()
+        return f"line {lineno}: non-finite value in pair {shown}"
+    digits = token.partition(b":")[0].lstrip(b"0") or b"0"
+    idx = digits[:_SHOWN_BYTES].decode() + _more(digits, "digits")
     return f"line {lineno}: " + {
         _NOT_ONE_BASED: f"feature index {idx} is not 1-based",
         _DUPLICATE: f"duplicate feature index {idx}",

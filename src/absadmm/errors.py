@@ -14,7 +14,7 @@ class SplitError(ValueError):
 
 
 class UnsupportedProblemError(ValueError):
-    """Raised when a problem falls outside the supported constraint/penalty forms."""
+    """Raised when a problem names a loss other than "logistic" or "sigmoid"."""
 
 
 class DivergenceError(RuntimeError):

@@ -384,7 +384,7 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     t0 = time.perf_counter()
     try:
         result = run(problem, solver_cfg, test_objective=test_fn)
-        trace, tally, diverged = result.trace, result.state.tally, False
+        trace, tally, diverged = result.trace, result.tally, False
     except DivergenceError as exc:  # its tally holds what the run was charged
         trace, tally, diverged = exc.trace, exc.tally or OracleTally(), True
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -394,7 +394,9 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     elif trace:  # the stopping row is always an evaluation row
         final_obj, final_stat = trace[-1].objective, trace[-1].stationarity
     else:  # max_iters: 0
-        report = stationarity(problem, result.state)
+        report = stationarity(
+            problem, result.x, result.y, result.lam, problem.constraint.matvec(result.x)
+        )
         tally.eval_calls += problem.n
         final_obj, final_stat = report.objective, report.total
     # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and

@@ -22,9 +22,11 @@ Every iteration applies the kernel updates in the fixed order y -> x -> dual.
 
 Only evaluation rows touch the whole data set: one pass there gives the
 objective and the stationarity residual together.  Every other row costs its
-batch plus the O(nnz(A)) kernel products: the loop carries A x from each dual
-step into the next y and x steps, so a row forms one ``matvec`` and one
-``rmatvec``.  The row that stops a run is always an evaluation row.
+batch plus the O(nnz(A)) kernel products: the loop holds the iterate and
+A x, forms A x_{k+1} once for the dual step and hands it on to the next y and
+x steps and to an evaluation, so a row forms one ``matvec`` and one
+``rmatvec``, and an evaluation adds one ``rmatvec``.  The row that stops a run
+is always an evaluation row.
 
 Each row tests only lam_{k+1} for non-finite values: a non-finite y_{k+1}
 enters it directly, and a non-finite x_{k+1} through A x_{k+1}, since every
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .estimators import OracleTally, minibatch_grad, sample_indices, svrg_grad
-from .kernel import AdmmParams, SolverState, dual_step, stationarity, x_step, y_step
+from .kernel import AdmmParams, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
 from .schedulers import SchedulerParams, adaptive_batch
 
@@ -130,14 +132,16 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    """What a run returns: its TraceRecord rows in order and its final state.
-
-    state.k is the last completed iteration and state.tally the run's oracle
-    ledger, solver and evaluation calls kept apart.
+    """What a run returns: its TraceRecord rows in order, the final iterate
+    (x, y, lam), and ``tally``, the run's oracle ledger with solver and
+    evaluation calls kept apart.
     """
 
     trace: list
-    state: SolverState
+    x: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    tally: OracleTally
 
 
 @dataclass
@@ -191,7 +195,7 @@ def run(
     window = getattr(cfg, window_field) if window_field else 1
     sp, admm, A = cfg.sched, cfg.admm, p.constraint
     tally = OracleTally()
-    state = SolverState(x=np.zeros(A.d1), y=np.zeros(A.m), lam=np.zeros(A.m), tally=tally)
+    x, y, lam = np.zeros(A.d1), np.zeros(A.m), np.zeros(A.m)
     # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
     # there when the last row was evaluated, else None
     ax, full_grad = np.zeros(A.m), None
@@ -218,20 +222,20 @@ def run(
         if anchored:
             N = adaptive_batch(sp, tau)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            ref_x, ref_grad = state.x, minibatch_grad(p, state.x, anchor, tally, full_grad)
+            ref_x, ref_grad = x, minibatch_grad(p, x, anchor, tally, full_grad)
             v, batch_col = ref_grad, N
         # svrg's anchor row also takes an inner step, against the anchor it just set
         if not anchored or base == "svrg_admm":
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
-            v = svrg_grad(p, state.x, batch, ref_x, ref_grad, tally)
+            v = svrg_grad(p, x, batch, ref_x, ref_grad, tally)
             if base == "spider_admm":
-                ref_x, ref_grad = state.x, v  # spider rolls the reference every step
+                ref_x, ref_grad = x, v  # spider rolls the reference every step
 
-        x_old = state.x
-        y_new = y_step(p, admm, x_old, state.lam, ax=ax)
-        x_new = x_step(p, admm, x_old, y_new, state.lam, v, ax=ax)
+        x_old = x
+        y_new = y_step(p, admm, ax, lam)
+        x_new = x_step(p, admm, x_old, ax, y_new, lam, v)
         ax = A.matvec(x_new)
-        lam_new = dual_step(p, admm, x_new, y_new, state.lam, ax=ax)
+        lam_new = dual_step(admm, ax, y_new, lam)
         # a non-finite y or x reaches lam through A x - y, so one test covers
         # all three; only a failure looks for the first bad block
         if not np.isfinite(lam_new).all():
@@ -245,7 +249,7 @@ def run(
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
             )
-        state.x, state.y, state.lam, state.k = x_new, y_new, lam_new, row
+        x, y, lam = x_new, y_new, lam_new
         full_grad = None
 
         over_budget = cfg.oracle_budget is not None and tally.solver_calls >= cfg.oracle_budget
@@ -256,7 +260,7 @@ def run(
         obj = stat_total = test_val = None
         if due or row >= cfg.max_iters or over_budget:
             next_pass = (tally.solver_calls // p.n + 1) * p.n
-            report = stationarity(p, state)
+            report = stationarity(p, x, y, lam, ax)
             tally.eval_calls += p.n
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
@@ -290,4 +294,4 @@ def run(
             and stat_total <= cfg.target_epsilon
         ):
             break
-    return RunResult(trace=trace, state=state)
+    return RunResult(trace=trace, x=x, y=y, lam=lam, tally=tally)

@@ -96,9 +96,10 @@ def test_degenerate_variants_match_deterministic_admm(make_dataset):
     lam = np.zeros(d)
     xs_ref = []
     for _ in range(iters):
-        y = y_step(p, params, x, lam)
-        x = x_step(p, params, x, y, lam, full_gradient(p, x))
-        lam = dual_step(p, params, x, y, lam)
+        ax = p.constraint.matvec(x)
+        y = y_step(p, params, ax, lam)
+        x = x_step(p, params, x, ax, y, lam, full_gradient(p, x))
+        lam = dual_step(params, p.constraint.matvec(x), y, lam)
         xs_ref.append(x)
     xs_ref = np.asarray(xs_ref)
 
@@ -419,7 +420,7 @@ def test_full_batch_solves_strongly_convex_reference(make_dataset):
     step = 1.0 / estimate_L(p)
     for _ in range(20000):
         x_gd = x_gd - step * full_gradient(p, x_gd)
-    gap = float(np.max(np.abs(res.state.x - x_gd)))
+    gap = float(np.max(np.abs(res.x - x_gd)))
     assert gap <= 1e-3
     print(
         f"PASS strongly convex reference: stationarity {final.stationarity:.2e} "

@@ -715,7 +715,7 @@ def test_cli_run_bad_values_are_data_errors(tmp_path, capsys, data, line):
     [
         (b"4:1 " + b"0" * 5000 + b"3:1", "feature indices not increasing at 3"),
         (b"0" * 5000 + b"3:1 " + b"0" * 5000 + b"3:2", "duplicate feature index 3"),
-        (b"1" + b"0" * 5000 + b":1", "feature index 1" + "0" * 5000 + " exceeds the largest"),
+        (b"1" + b"0" * 5000 + b":1", "feature index 1" + "0" * 31 + "… (5001 digits) exceeds"),
     ],
     ids=["decreasing", "duplicate", "too_large"],
 )

@@ -3,7 +3,6 @@ import pytest
 
 from absadmm.kernel import (
     AdmmParams,
-    SolverState,
     dual_step,
     make_admm_params,
     stationarity,
@@ -77,7 +76,7 @@ def test_y_step_is_coordinatewise_prox(fused):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(6)
     lam = rng.standard_normal(6)
-    y = y_step(fused, params, x, lam)
+    y = y_step(fused, params, fused.constraint.matvec(x), lam)
     # independent soft-threshold oracle
     v = fused.constraint.A @ x - lam / params.beta
     thr = fused.g.weight / params.beta
@@ -93,7 +92,8 @@ def test_y_step_zero_weight_is_projection(fused):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(6)
     lam = rng.standard_normal(6)
-    assert np.array_equal(y_step(p0, params, x, lam), p0.constraint.A @ x - lam / 2.0)
+    ax = p0.constraint.matvec(x)
+    assert np.array_equal(y_step(p0, params, ax, lam), p0.constraint.A @ x - lam / 2.0)
 
 
 def test_x_step_solves_surrogate(fused):
@@ -110,7 +110,7 @@ def test_x_step_solves_surrogate(fused):
     H = G / params.eta + params.beta * (cs.A.T @ cs.A)
     rhs = G @ x / params.eta - v + cs.A.T @ lam + params.beta * cs.A.T @ y_new
     oracle = np.linalg.solve(H, rhs)
-    got = x_step(fused, params, x, y_new, lam, v)
+    got = x_step(fused, params, x, cs.matvec(x), y_new, lam, v)
     assert np.linalg.norm(got - oracle) <= 1e-12
     # one-dimensional sanity case: everything 1, the update lands on 0
     ds1 = ProblemInstance(
@@ -121,7 +121,8 @@ def test_x_step_solves_surrogate(fused):
         NonsmoothSpec(0.0),
     )
     p1 = AdmmParams(beta=1.0, eta=1.0, r=2.0)
-    out = x_step(ds1, p1, np.array([1.0]), np.array([1.0]), np.array([0.0]), np.array([2.0]))
+    one = np.array([1.0])
+    out = x_step(ds1, p1, one, one, one, np.array([0.0]), np.array([2.0]))
     assert out[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -132,9 +133,10 @@ def test_dual_identity_one_step(fused):
     x = rng.standard_normal(6)
     lam = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    y_new = y_step(fused, params, x, lam)
-    x_new = x_step(fused, params, x, y_new, lam, v)
-    lam_new = dual_step(fused, params, x_new, y_new, lam)
+    cs = fused.constraint
+    y_new = y_step(fused, params, cs.matvec(x), lam)
+    x_new = x_step(fused, params, x, cs.matvec(x), y_new, lam, v)
+    lam_new = dual_step(params, cs.matvec(x_new), y_new, lam)
     lhs = fused.constraint.A.T @ lam_new
     rhs = v + metric_apply(fused, params, x_new - x)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
@@ -146,7 +148,8 @@ def test_dual_step_frozen(fused):
     y = np.ones(6)
     lam = np.zeros(6)
     # residual = A*0 - y = -1 everywhere, so lam_new = -beta*(-1) = +2
-    assert np.array_equal(dual_step(fused, params, x, y, lam), 2.0 * np.ones(6))
+    ax = fused.constraint.matvec(x)
+    assert np.array_equal(dual_step(params, ax, y, lam), 2.0 * np.ones(6))
 
 
 def test_stationarity_subgrad_frozen(fused):
@@ -157,7 +160,7 @@ def test_stationarity_subgrad_frozen(fused):
     y = np.array([1.0, 0.0, -2.0, 0.0, 0.0, 0.0])
     lam = -np.array([0.7, 0.3, -0.1, -0.9, 0.0, 0.0])
     x = np.zeros(6)
-    rep = stationarity(p, SolverState(x=x, y=y, lam=lam))
+    rep = stationarity(p, x, y, lam, p.constraint.matvec(x))
     assert rep.subgrad_term == pytest.approx(0.36, abs=1e-12)
     g = full_gradient(p, x)
     gt = g - p.constraint.A.T @ lam
@@ -175,8 +178,8 @@ def test_stationarity_zero_at_unconstrained_optimum():
     cs = ConstraintSpec([0], [0], [1.0], 1, 1)
     p = ProblemInstance(ds, "logistic", 0.0, cs, NonsmoothSpec(0.0))
     # gradient is odd in x here, so x=0 is the minimizer
-    w = SolverState(x=np.zeros(1), y=np.zeros(1), lam=np.zeros(1))
-    rep = stationarity(p, w)
+    zero = np.zeros(1)
+    rep = stationarity(p, zero, zero, zero, cs.matvec(zero))
     assert rep.total == pytest.approx(0.0, abs=1e-14)
 
 

@@ -401,17 +401,37 @@ _PADDED = b"0" * 5000
         (b"1 " + _PADDED + b"3:1 " + _PADDED + b"3:2\n", "line 1: duplicate feature index 3"),
         (
             b"1 1" + _PADDED + b":1\n",
-            f"line 1: feature index 1{_PADDED.decode()} exceeds the largest supported index 2147483647",
+            f"line 1: feature index 1{_PADDED[:31].decode()}… (5001 digits) exceeds the largest "
+            "supported index 2147483647",
         ),
     ],
     ids=["decreasing", "duplicate", "too_large"],
 )
 def test_indices_of_over_4300_digits_are_parse_errors(text, message):
     """``int`` refuses strings of more than 4,300 digits; such an index is
-    still read, and named in its message without its leading zeros."""
+    still read, and named in its message without its leading zeros and cut
+    to its first 32 digits."""
     with pytest.raises(ParseError) as exc:
         parse_libsvm(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, start, length",
+    [
+        (b"1 2:1\n1 1:" + b"5" * 1_000_000 + b"x\n", "line 2: malformed pair '1:555", "1000003 bytes"),
+        (b"1 2:1\n-" + b"1" * 1_000_000 + b"x 1:1\n", "line 2: bad label token '-111", "1000002 bytes"),
+        (b"1 1" + b"0" * 100_000 + b":1\n", "line 1: feature index 1000", "100001 digits"),
+    ],
+    ids=["malformed", "bad_label", "too_large"],
+)
+def test_messages_cut_long_tokens(text, start, length):
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(text)
+    message = str(exc.value)
+    assert message.startswith(start)
+    assert f"… ({length})" in message
+    assert len(message) < 200
 
 
 def test_long_mantissas_and_exponents_read_bitwise_as_float():

@@ -261,14 +261,14 @@ def test_array_holders_compare_by_identity(make_dataset):
 def test_full_set_passes_read_features_in_place(make_dataset):
     import tracemalloc
 
-    from absadmm.kernel import SolverState, stationarity
+    from absadmm.kernel import stationarity
 
     p = build_fused_logistic(make_dataset(4000, 50, seed=2), 0.1)
     x = np.full(50, 0.01)
-    w = SolverState(x=x, y=np.zeros(50), lam=np.zeros(50))
+    ax, zero = p.constraint.matvec(x), np.zeros(50)
     passes = {
         "full_gradient": lambda: full_gradient(p, x),
-        "stationarity": lambda: stationarity(p, w),
+        "stationarity": lambda: stationarity(p, x, zero, zero, ax),
     }
     for name, fn in passes.items():
         tracemalloc.start()

@@ -75,7 +75,7 @@ def test_y_step_is_soft_threshold(cs, seed, weight, beta):
     v = cs.A @ x - lam / beta
     thr = weight / beta
     expected = np.where(np.abs(v) <= thr, 0.0, v - np.sign(v) * thr)
-    assert np.allclose(y_step(p, params, x, lam), expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(y_step(p, params, cs.matvec(x), lam), expected, rtol=1e-12, atol=1e-12)
 
 
 @SETTINGS
@@ -90,9 +90,9 @@ def test_dual_gradient_identity(cs, seed, beta, eta):
     p = _problem(cs, 0.5)
     params = make_admm_params(cs, beta=beta, eta=eta)
     x, lam, v = _vectors(seed, cs.d1, cs.m, cs.d1)
-    y_new = y_step(p, params, x, lam)
-    x_new = x_step(p, params, x, y_new, lam, v)
-    lam_new = dual_step(p, params, x_new, y_new, lam)
+    y_new = y_step(p, params, cs.matvec(x), lam)
+    x_new = x_step(p, params, x, cs.matvec(x), y_new, lam, v)
+    lam_new = dual_step(params, cs.matvec(x_new), y_new, lam)
     lhs = cs.A.T @ lam_new
     gap = lhs - v - metric_apply(p, params, x_new - x)
     assert np.linalg.norm(gap) <= 1e-9 * (1.0 + np.linalg.norm(v) + np.linalg.norm(lhs))

@@ -40,9 +40,8 @@ def test_config_validation(fused):
 def test_zero_iterations_returns_initial_state(fused):
     res = run(fused, _config(fused, "sadmm", max_iters=0))
     assert res.trace == []
-    assert res.state.k == 0
-    assert not res.state.x.any()
-    assert res.state.tally.solver_calls == 0
+    assert not res.x.any() and not res.y.any() and not res.lam.any()
+    assert res.tally.solver_calls == 0
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -58,28 +57,28 @@ def test_reproducible_by_seed(fused, method):
         assert ra.objective == rb.objective
         assert ra.oracle_calls == rb.oracle_calls
         assert ra.batch_size == rb.batch_size
-    assert np.array_equal(a.state.x, b.state.x)
+    assert np.array_equal(a.x, b.x)
     c = run(fused, _config(fused, method, sched=sched, seed=10))
-    assert not np.array_equal(a.state.x, c.state.x)
+    assert not np.array_equal(a.x, c.x)
 
 
 def test_update_order_y_x_dual(fused, monkeypatch):
     calls = []
     real_y, real_x, real_dual = solvers.y_step, solvers.x_step, solvers.dual_step
 
-    def spy_y(p, params, x, lam, ax):
-        out = real_y(p, params, x, lam, ax=ax)
-        calls.append(("y", x.copy(), lam.copy(), out.copy()))
+    def spy_y(p, params, ax, lam):
+        out = real_y(p, params, ax, lam)
+        calls.append(("y", ax.copy(), lam.copy(), out.copy()))
         return out
 
-    def spy_x(p, params, x, y_new, lam, v, ax):
-        out = real_x(p, params, x, y_new, lam, v, ax=ax)
-        calls.append(("x", x.copy(), y_new.copy(), lam.copy(), out.copy()))
+    def spy_x(p, params, x, ax, y_new, lam, v):
+        out = real_x(p, params, x, ax, y_new, lam, v)
+        calls.append(("x", x.copy(), y_new.copy(), lam.copy(), out.copy(), ax.copy()))
         return out
 
-    def spy_dual(p, params, x_new, y_new, lam, ax):
-        out = real_dual(p, params, x_new, y_new, lam, ax=ax)
-        calls.append(("dual", x_new.copy(), y_new.copy(), lam.copy(), out.copy()))
+    def spy_dual(params, ax_new, y_new, lam):
+        out = real_dual(params, ax_new, y_new, lam)
+        calls.append(("dual", ax_new.copy(), y_new.copy(), lam.copy(), out.copy()))
         return out
 
     monkeypatch.setattr(solvers, "y_step", spy_y)
@@ -90,17 +89,20 @@ def test_update_order_y_x_dual(fused, monkeypatch):
     assert [c[0] for c in calls] == ["y", "x", "dual"] * 3
     for k in range(3):
         y_c, x_c, d_c = calls[3 * k], calls[3 * k + 1], calls[3 * k + 2]
-        # x step sees the same x_k and lam_k as the y step, plus the fresh y
-        assert np.array_equal(y_c[1], x_c[1])
+        # y and x steps see A x_k of the x step's x_k and the same lam_k; the
+        # x step also sees the fresh y
+        assert np.array_equal(y_c[1], fused.constraint.matvec(x_c[1]))
+        assert np.array_equal(y_c[1], x_c[5])
         assert np.array_equal(y_c[2], x_c[3])
         assert np.array_equal(y_c[3], x_c[2])
-        # dual step sees the fresh x and y, and the old lam
-        assert np.array_equal(d_c[1], x_c[4])
+        # dual step sees A x_{k+1} of the fresh x, the fresh y, and the old lam
+        assert np.array_equal(d_c[1], fused.constraint.matvec(x_c[4]))
         assert np.array_equal(d_c[2], y_c[3])
         assert np.array_equal(d_c[3], y_c[2])
         if k > 0:
-            # next iteration starts from the previous dual output
+            # next iteration starts from the previous dual output and x step
             assert np.array_equal(calls[3 * k][2], calls[3 * k - 1][4])
+            assert np.array_equal(x_c[1], calls[3 * k - 2][4])
 
 
 def _degenerate_sched(p):
@@ -114,8 +116,8 @@ def test_vr_methods_degenerate_to_full_batch(fused):
     base = run(fused, _config(fused, "sadmm", sched=sched, max_iters=k))
     svrg = run(fused, _config(fused, "svrg_admm", sched=sched, max_iters=k, T=1, b=fused.n))
     spider = run(fused, _config(fused, "spider_admm", sched=sched, max_iters=k, q=1))
-    assert np.array_equal(base.state.x, svrg.state.x)
-    assert np.array_equal(base.state.x, spider.state.x)
+    assert np.array_equal(base.x, svrg.x)
+    assert np.array_equal(base.x, spider.x)
     for ra, rb, rc in zip(base.trace, svrg.trace, spider.trace):
         assert ra.objective == rb.objective == rc.objective
 
@@ -126,7 +128,7 @@ def test_oracle_ledger_sadmm(fused):
     for rec in res.trace:
         total += rec.batch_size
         assert rec.oracle_calls == total
-    assert res.state.tally.solver_calls == total
+    assert res.tally.solver_calls == total
 
 
 def test_oracle_ledger_svrg(fused):
@@ -137,7 +139,7 @@ def test_oracle_ledger_svrg(fused):
         inner = (rec.iter - 1) % T
         total += (rec.batch_size if inner == 0 else 0) + 2 * b
         assert rec.oracle_calls == total
-    assert res.state.tally.solver_calls == total
+    assert res.tally.solver_calls == total
 
 
 def test_oracle_ledger_spider(fused):
@@ -150,7 +152,7 @@ def test_oracle_ledger_spider(fused):
         else:
             total += 2 * b
         assert rec.oracle_calls == total
-    assert res.state.tally.solver_calls == total
+    assert res.tally.solver_calls == total
 
 
 def test_adaptive_batches_never_exceed_static(fused):
@@ -478,7 +480,7 @@ def test_wide_graph_never_allocates_m_by_m(make_dataset):
 @pytest.mark.parametrize("method", METHODS)
 def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, method):
     import absadmm.problems as problems
-    from absadmm.kernel import SolverState, stationarity
+    from absadmm.kernel import stationarity
     from absadmm.problems import objective
 
     p = build_fused_logistic(make_dataset(2000, 5, seed=3), 0.02)
@@ -497,14 +499,17 @@ def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, met
     spy("_loss_slopes")
     spy("_loss_values")
 
-    def spy_stationarity(p_, w):
-        log.append(("eval", w.k))
-        report = stationarity(p_, w)
-        log.append(("eval_end", w.k))
+    states, evaluated = {}, {}
+
+    def spy_stationarity(p_, x, y, lam, ax):
+        row = len(states)  # the monitor has marked the evaluated row's end
+        evaluated[row] = (x, y, lam, ax)
+        log.append(("eval", row))
+        report = stationarity(p_, x, y, lam, ax)
+        log.append(("eval_end", row))
         return report
 
     monkeypatch.setattr(solvers, "stationarity", spy_stationarity)
-    states = {}
 
     def monitor(info):  # marks the end of row info.k + 1, before its evaluation
         log.append(("row", info.k + 1))
@@ -538,8 +543,12 @@ def test_only_evaluation_rows_touch_the_whole_set(make_dataset, monkeypatch, met
         assert sorted(calls) == [("_loss_slopes", p.n), ("_loss_values", p.n)]
         rec = trace[row - 1]
         x, y, lam = states[row]
+        # the evaluation sees the row's iterate and the loop's A x of it
+        got = evaluated[row]
+        assert all(a is b for a, b in zip(got, (x, y, lam)))
+        assert np.array_equal(got[3], p.constraint.matvec(x))
         assert rec.objective == objective(p, x)
-        assert rec.stationarity == stationarity(p, SolverState(x=x, y=y, lam=lam)).total
+        assert rec.stationarity == stationarity(p, x, y, lam, p.constraint.matvec(x)).total
     assert all(r.objective is None for r in trace if r.iter not in evals)
 
 
@@ -565,15 +574,21 @@ def test_one_constraint_matvec_per_row(make_dataset, monkeypatch, method):
                 return real(self, x)
 
             monkeypatch.setattr(spec, name, product)
-        # the stride never falls inside the run, so only the stopping row
-        # evaluates, and its evaluation's products follow the last monitor call
-        cfg = _config(p, method, sched=sched, max_iters=12, b=3, T=5, q=4, eval_stride=1000)
-        run(p, cfg, step_monitor=lambda info: log.append(info.k + 1))
-        rows = [i for i, item in enumerate(log) if isinstance(item, int)]
-        assert [log[i] for i in rows] == list(range(1, 13))
-        starts = [-1] + rows[:-1]
-        products = [sorted(log[start + 1 : end]) for start, end in zip(starts, rows)]
-        assert products == [["matvec", "rmatvec"]] * 12
+        # a row forms one matvec and one rmatvec before its monitor call, and an
+        # evaluation (A^T lam) one more rmatvec after it.  A stride of 1000
+        # never falls inside the run, so only the stopping row evaluates; a
+        # stride of 1 evaluates every row
+        for stride in (1000, 1):
+            log.clear()
+            cfg = _config(p, method, sched=sched, max_iters=12, b=3, T=5, q=4, eval_stride=stride)
+            run(p, cfg, step_monitor=lambda info: log.append(info.k + 1))
+            rows = [i for i, item in enumerate(log) if isinstance(item, int)]
+            assert [log[i] for i in rows] == list(range(1, 13))
+            bounds = zip([-1] + rows, rows + [len(log)])
+            products = [sorted(log[start + 1 : end]) for start, end in bounds]
+            evaluation = ["rmatvec"] if stride == 1 else []
+            row = ["matvec", "rmatvec"]
+            assert products == [row] + [row + evaluation] * 11 + [["rmatvec"]]
         monkeypatch.undo()
 
 
@@ -606,8 +621,8 @@ def test_whole_set_anchor_reuses_the_evaluation_gradient(fused, monkeypatch, met
             log.append("pass")
         return real_slopes(loss, z)
 
-    def spy_stationarity(p_, w):
-        report = stationarity(p_, w)
+    def spy_stationarity(*args):
+        report = stationarity(*args)
         log.append("eval")
         return report
 
@@ -628,8 +643,8 @@ def test_whole_set_anchor_reuses_the_evaluation_gradient(fused, monkeypatch, met
     # both ledgers are charged as if each side had made its own pass; svrg's
     # inner step on b draws adds 2b per row
     inner = 2 * b if method.startswith("svrg") else 0
-    assert res.state.tally.solver_calls == k * (fused.n + inner)
-    assert res.state.tally.eval_calls == k * fused.n
+    assert res.tally.solver_calls == k * (fused.n + inner)
+    assert res.tally.eval_calls == k * fused.n
     assert tuple(r.objective for r in res.trace) == FULL_BATCH_OBJECTIVES
     # rows after an unevaluated row have no gradient to share and make their own pass
     sparse = run(fused, dataclasses.replace(cfg, eval_stride=3)).trace
