@@ -117,6 +117,9 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment, built from a file, by ``dataclasses.replace`` or in a script:
+    construction raises a ConfigError naming the config key of the first broken rule."""
+
     dataset_path: str
     problem_kind: str  # "fused_logistic" or "graph_guided"
     l1: float
@@ -133,6 +136,44 @@ class ExperimentConfig:
     target_epsilon: Optional[float] = None
     eval_stride: Optional[int] = None
     sigma2: Optional[float] = None
+
+    def __post_init__(self):
+        if self.problem_kind not in ("fused_logistic", "graph_guided"):
+            raise ConfigError(f"unknown problem.kind {self.problem_kind!r}")
+        if not self.methods:
+            raise ConfigError("config must list at least one method under 'methods'")
+        first = {}
+        for i, name in enumerate(m.name for m in self.methods):
+            if name not in METHODS:
+                raise ConfigError(f"methods[{i}].name {name!r} not one of {METHODS}")
+            # each cell writes trace_<name>_rep<k>.csv: a repeated name overwrites traces
+            if first.setdefault(name, i) < i:
+                raise ConfigError(f"methods[{i}].name {name!r} repeats methods[{first[name]}]")
+        fault = d_hint_fault(self.d_hint)
+        if fault:
+            raise ConfigError(f"dataset.d_hint {fault}")
+        if self.repeats < 1:
+            raise ConfigError("repeats must be at least 1")
+        if self.max_iters < 0:
+            raise ConfigError("budget.max_iters must be nonnegative")
+        if self.oracle_budget is not None and self.oracle_budget < 1:
+            raise ConfigError("budget.oracle_budget must be positive when set")
+        if self.target_epsilon is not None and not self.target_epsilon > 0.0:
+            raise ConfigError("budget.target_epsilon must be positive when set")
+        if self.eval_stride is not None and self.eval_stride < 1:
+            raise ConfigError("eval_stride must be at least 1 when set")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.sigma2 is not None and not 0.0 <= self.sigma2 < math.inf:
+            raise ConfigError(f"sigma2 must be nonnegative and finite when set, got {self.sigma2}")
+        for key, value in (("problem.l1", self.l1), ("problem.l2", self.l2)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be nonnegative and finite, got {value}")
+        # checked whatever the kind, as l2 is, though only graph_guided reads it
+        if not 0.0 < self.corr_threshold <= 1.0:
+            raise ConfigError(
+                f"problem.corr_threshold must lie in (0, 1], got {self.corr_threshold}"
+            )
 
 
 @dataclass
@@ -288,13 +329,11 @@ def _method(entry, where):
     values = {}
     for f in fields:
         values[f.name] = _read(f, entry.get(f.name), f"{where}.{f.name}", f"{where}: {f.name}")
-    if values["name"] not in METHODS:
-        raise ConfigError(f"{where}.name {values['name']!r} not one of {METHODS}")
     return MethodSpec(**values)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a YAML experiment config, reading each key by its dataclass field."""
+    """Read a YAML experiment config key by key; the ExperimentConfig it builds checks values."""
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=_ConfigLoader)
@@ -324,46 +363,10 @@ def load_config(path) -> ExperimentConfig:
         for key, name in keys.items():
             where = f"{section}.{key}" if section else key
             values[name] = _read(fields[name], mapping.get(key), where, where)
-    if values["problem_kind"] not in ("fused_logistic", "graph_guided"):
-        raise ConfigError(f"unknown problem.kind {values['problem_kind']!r}")
-
     raw_methods = doc.get("methods")
-    if not raw_methods or not isinstance(raw_methods, list):
-        raise ConfigError("config must list at least one method under 'methods'")
-    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(raw_methods))
-    # each cell writes trace_<name>_rep<k>.csv, so a repeated name would
-    # overwrite the first entry's traces
-    names = [m.name for m in methods]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"methods[{i}].name {name!r} repeats methods[{names.index(name)}]")
+    entries = raw_methods if isinstance(raw_methods, list) else []  # none, which the config rejects
+    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(entries))
     return ExperimentConfig(methods=methods, **values)
-
-
-def _validate(cfg: ExperimentConfig):
-    fault = d_hint_fault(cfg.d_hint)
-    if fault:
-        raise ConfigError(f"dataset.d_hint {fault}")
-    if cfg.repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    if cfg.max_iters < 0:
-        raise ConfigError("budget.max_iters must be nonnegative")
-    if cfg.oracle_budget is not None and cfg.oracle_budget < 1:
-        raise ConfigError("budget.oracle_budget must be positive when set")
-    if cfg.target_epsilon is not None and not cfg.target_epsilon > 0.0:
-        raise ConfigError("budget.target_epsilon must be positive when set")
-    if cfg.eval_stride is not None and cfg.eval_stride < 1:
-        raise ConfigError("eval_stride must be at least 1 when set")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.sigma2 is not None and not 0.0 <= cfg.sigma2 < math.inf:
-        raise ConfigError(f"sigma2 must be nonnegative and finite when set, got {cfg.sigma2}")
-    for key, value in (("problem.l1", cfg.l1), ("problem.l2", cfg.l2)):
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(f"{key} must be nonnegative and finite, got {value}")
-    # checked whatever the kind, as l2 is, though only graph_guided reads it
-    if not 0.0 < cfg.corr_threshold <= 1.0:
-        raise ConfigError(f"problem.corr_threshold must lie in (0, 1], got {cfg.corr_threshold}")
 
 
 def _derive_seed(base: int, *tags) -> int:
@@ -378,9 +381,7 @@ def _build_problem(cfg: ExperimentConfig, ds):
 
 def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_path: str):
     """Execute one grid cell and write its trace; returns a RunRow."""
-    test_fn = None
-    if test_problem is not None:
-        test_fn = lambda x: objective(test_problem, x)  # noqa: E731
+    test_fn = None if test_problem is None else (lambda x: objective(test_problem, x))
     t0 = time.perf_counter()
     try:
         result = run(problem, solver_cfg, test_objective=test_fn)
@@ -423,10 +424,10 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
 
 
 def _set_up(cfg: ExperimentConfig):
-    """Load, build and measure what a validated config's grid runs on: the
-    train problem, the held-out one (None without a split), sigma2, L and one
-    unseeded SolverConfig per method.  ``run_experiment`` and ``describe_run``
-    both set up here, so they see the same problem."""
+    """Load, build and measure what cfg's grid runs on: the train problem, the
+    held-out one (None without a split), sigma2, L and one unseeded SolverConfig
+    per method, whose parameters are checked here (cfg checked its own rules when
+    built).  ``run_experiment`` and ``describe_run`` both set up here."""
     # one dense matrix from the parse on: filled in split order, scaled in
     # place, and handed out as row views
     split_seed = _derive_seed(cfg.seed, 0) if cfg.split else None
@@ -440,9 +441,7 @@ def _set_up(cfg: ExperimentConfig):
         ) from exc
     train, test = (data.train, data.test) if cfg.split else (data, None)
     problem = _build_problem(cfg, train)
-    test_problem = None
-    if test is not None:
-        test_problem = dataclasses.replace(problem, dataset=test)
+    test_problem = None if test is None else dataclasses.replace(problem, dataset=test)
 
     if cfg.sigma2 is not None:
         sigma2 = cfg.sigma2
@@ -489,9 +488,9 @@ def describe_run(cfg: ExperimentConfig) -> dict:
     """``advise``'s report on the problem ``run_experiment`` would set up for
     cfg, and per method what its SolverConfig makes of it: r, eta/r, the
     static batch cap against n, the mean squared step above which an adaptive
-    method's progress term undercuts that cap, and the analysis's sufficient
-    conditions at the method's own beta, eta, r and c_tau."""
-    _validate(cfg)
+    method's progress term c_tau*sigma2/tau falls below min(c_eps*sigma2/epsilon,
+    n), and the analysis's sufficient conditions at the method's own beta, eta, r
+    and c_tau.  cfg checked its own rules when built, as for ``run_experiment``."""
     problem, _, sigma2, L, solver_cfgs = _set_up(cfg)
     varsigma, opnorm = problem.constraint.spectrum
     methods = []
@@ -499,6 +498,7 @@ def describe_run(cfg: ExperimentConfig) -> dict:
         admm, sp = solver_cfg.admm, solver_cfg.sched
         # a static method's progress term never binds
         adaptive = solver_cfg.method.endswith("_adaptive")
+        binds = max(sp.c_tau * sp.epsilon / sp.c_eps, sp.c_tau * sp.sigma2 / sp.n)
         feas = feasibility_at(admm, sp.c_tau, L, varsigma, opnorm)
         entry = {
             "name": solver_cfg.method,
@@ -510,7 +510,7 @@ def describe_run(cfg: ExperimentConfig) -> dict:
             "c_eps_sigma2_over_epsilon": sp.c_eps * sp.sigma2 / sp.epsilon,
             "static_cap": adaptive_batch(sp, 0.0),
             "n": sp.n,
-            "progress_binds_above": sp.c_tau * sp.epsilon / sp.c_eps if adaptive else None,
+            "progress_binds_above": binds if adaptive else None,
             "sufficient_conditions": dataclasses.asdict(feas),
         }
         methods.append(entry)
@@ -519,7 +519,6 @@ def describe_run(cfg: ExperimentConfig) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
     """Run the methods x repeats grid and write traces plus summary.yaml."""
-    _validate(cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -23,6 +23,7 @@ from absadmm.experiment import (
     parse_trace_csv,
     run_experiment,
 )
+from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, TraceRecord
 
 
@@ -967,6 +968,19 @@ def test_cli_advise(config_file, capsys):
     assert isinstance(sadmm["sufficient_conditions"]["feasible"], bool)
 
 
+def test_cli_advise_progress_binds_above_the_cap_at_n(config_file, capsys):
+    # sigma2 = 1 puts c_eps*sigma2/epsilon = 2000 above n = 12, so the cap is
+    # n, and the progress term 3*sigma2/tau falls below it only above 3/12
+    method = {"name": "svrg_admm_adaptive", "beta": 1.0, "eta": 0.5, "c_tau": 3.0, "c_eps": 2.0}
+    assert main(["advise", "--config", config_file(methods=[method], sigma2=1.0)]) == 0
+    (entry,) = yaml.safe_load(capsys.readouterr().out)["methods"]
+    assert entry["static_cap"] == entry["n"] == 12
+    tau = entry["progress_binds_above"]
+    assert tau == pytest.approx(3.0 / 12.0, rel=1e-15)
+    sched = SchedulerParams(c_tau=3.0, c_eps=2.0, epsilon=1e-3, sigma2=1.0, n=12)
+    assert adaptive_batch(sched, 0.99 * tau) == 12 and adaptive_batch(sched, 2.0 * tau) == 6
+
+
 def test_cli_advise_missing_dataset(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(_config_doc(str(tmp_path / "gone.txt"))))
@@ -1045,19 +1059,27 @@ def test_cli_advise_accepts_a_zero_smoothness_constant(tmp_path, capsys):
     assert problem["svrg"]["c_tau"] == problem["svrg"]["c_eps"] == math.inf
 
 
-def test_experiment_config_validation(tmp_path, data_file):
-    cfg = ExperimentConfig(
+def _python_config(data_file, **fields):
+    """The keyword arguments of a valid two-method ExperimentConfig, with ``fields`` on top."""
+    base = dict(
         dataset_path=data_file,
         problem_kind="fused_logistic",
         l1=0.05,
-        methods=(MethodSpec(name="sadmm", beta=1.0, eta=0.5),),
-        repeats=0,
+        methods=(
+            MethodSpec(name="sadmm", beta=1.0, eta=0.5),
+            MethodSpec(name="sadmm_adaptive", beta=1.0, eta=0.5),
+        ),
         max_iters=5,
+        repeats=1,
     )
+    return {**base, **fields}
+
+
+def test_experiment_config_validation(data_file):
     with pytest.raises(ConfigError, match="repeats"):
-        run_experiment(cfg, str(tmp_path / "o"))
+        ExperimentConfig(**_python_config(data_file, repeats=0))
     # budget and top-level faults name their key, not the first method
-    cfg = dataclasses.replace(cfg, repeats=1)
+    cfg = ExperimentConfig(**_python_config(data_file))
     cases = [
         (dict(target_epsilon=0.0), "budget.target_epsilon"),
         (dict(oracle_budget=0), "budget.oracle_budget"),
@@ -1067,7 +1089,39 @@ def test_experiment_config_validation(tmp_path, data_file):
     ]
     for fields, key in cases:
         with pytest.raises(ConfigError) as exc_info:
-            run_experiment(dataclasses.replace(cfg, **fields), str(tmp_path / "o"))
+            dataclasses.replace(cfg, **fields)
         message = str(exc_info.value)
         assert message.startswith(f"{key} must be"), message
         assert "methods[" not in message
+
+
+# faults a YAML file cannot bring past load_config, made in Python: each is
+# the config error a file with that fault gives, raised where the config is
+# built, so no cell runs and no trace is written over another
+_PYTHON_FAULTS = [
+    ("misspelled-kind", dict(problem_kind="fused"), "unknown problem.kind 'fused'"),
+    (
+        "repeated-method",
+        dict(methods=(MethodSpec(name="sadmm", beta=1.0, eta=0.5),) * 2),
+        "methods[1].name 'sadmm' repeats methods[0]",
+    ),
+    ("no-methods", dict(methods=()), "config must list at least one method under 'methods'"),
+    (
+        "misspelled-method",
+        dict(methods=(MethodSpec(name="sadm", beta=1.0, eta=0.5),)),
+        f"methods[0].name 'sadm' not one of {METHODS}",
+    ),
+]
+
+
+@pytest.mark.parametrize("route", ["construct", "replace"])
+@pytest.mark.parametrize(
+    "fields, want", [case[1:] for case in _PYTHON_FAULTS], ids=[case[0] for case in _PYTHON_FAULTS]
+)
+def test_python_config_faults_raise_at_construction(data_file, route, fields, want):
+    with pytest.raises(ConfigError) as exc_info:
+        if route == "construct":
+            ExperimentConfig(**_python_config(data_file, **fields))
+        else:
+            dataclasses.replace(ExperimentConfig(**_python_config(data_file)), **fields)
+    assert str(exc_info.value) == want
