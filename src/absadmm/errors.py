@@ -28,7 +28,8 @@ class DivergenceError(RuntimeError):
     objective or stationarity is not; ``row`` is the 1-based iteration,
     ``batch_size`` that row's scheduled draw, ``dx_sq`` its squared step
     ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last finite
-    stationarity evaluated (None before there is one).
+    stationarity evaluated (None before there is one).  ``eval_ms`` is the
+    wall time the run spent in evaluations, the failing one included.
     """
 
     def __init__(
@@ -42,6 +43,7 @@ class DivergenceError(RuntimeError):
         batch_size=None,
         dx_sq=None,
         last_stationarity=None,
+        eval_ms=None,
     ):
         super().__init__(message)
         self.trace = trace if trace is not None else []
@@ -51,3 +53,4 @@ class DivergenceError(RuntimeError):
         self.batch_size = batch_size
         self.dx_sq = dx_sq
         self.last_stationarity = last_stationarity
+        self.eval_ms = eval_ms

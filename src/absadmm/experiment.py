@@ -100,7 +100,9 @@ _CSV_FIELDS = ("iter", "epoch", "batch_size", "oracle_calls", "objective", "stat
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One method entry of the experiment grid."""
+    """One method entry of the experiment grid; construction reads each field
+    by its type, as ``load_config`` reads the file, so ``beta="x"`` raises a
+    ConfigError that names ``beta``."""
 
     name: str
     beta: float
@@ -114,11 +116,15 @@ class MethodSpec:
     T: int = 1
     q: int = 1
 
+    def __post_init__(self):
+        _type_fields(self, {})
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment, built from a file, by ``dataclasses.replace`` or in a script:
-    construction raises a ConfigError naming the config key of the first broken rule."""
+    construction reads each field by its type, as ``load_config`` reads the file,
+    then raises a ConfigError naming the config key of the first broken rule."""
 
     dataset_path: str
     problem_kind: str  # "fused_logistic" or "graph_guided"
@@ -138,12 +144,16 @@ class ExperimentConfig:
     sigma2: Optional[float] = None
 
     def __post_init__(self):
+        _type_fields(self, _FILE_KEYS)
         if self.problem_kind not in ("fused_logistic", "graph_guided"):
             raise ConfigError(f"unknown problem.kind {self.problem_kind!r}")
         if not self.methods:
             raise ConfigError("config must list at least one method under 'methods'")
         first = {}
-        for i, name in enumerate(m.name for m in self.methods):
+        for i, method in enumerate(self.methods):
+            if not isinstance(method, MethodSpec):
+                raise ConfigError(f"methods[{i}] must be a MethodSpec, got {method!r}")
+            name = method.name
             if name not in METHODS:
                 raise ConfigError(f"methods[{i}].name {name!r} not one of {METHODS}")
             # each cell writes trace_<name>_rep<k>.csv: a repeated name overwrites traces
@@ -190,7 +200,9 @@ class RunRow:
     final_stationarity: float
     batch_cap_hits: int
     diverged: bool
+    stop: str  # "target", "oracle_budget", "max_iters" or "diverged"
     wall_ms: float
+    eval_ms: float  # of wall_ms, the time inside evaluations
     trace_path: str
 
 
@@ -203,6 +215,8 @@ class RunSummary:
     opnorm: float
     n_train: int
     n_test: int
+    initial_objective: float
+    initial_stationarity: float
     rows: list
     aggregates: dict
 
@@ -301,9 +315,35 @@ def _bool(value, key):
     return value
 
 
-# the reader of each config field type; a null never reaches one
-_READERS = {int: _int, Optional[int]: _int, float: _float, Optional[float]: _float, bool: _bool}
-_READERS[str] = lambda value, key: str(value)
+def _str(value, key):
+    """A text config value; a number reads as its text, as in ``path: 2024``."""
+    if value is None:
+        raise ConfigError(f"{key} must be text, got None")
+    return str(value)
+
+
+# the reader of each config field type; from a file a null never reaches one,
+# from Python one reaches a field whose default is not None
+_READERS = {
+    int: _int, Optional[int]: _int, float: _float, Optional[float]: _float, bool: _bool, str: _str
+}
+
+# the file key of each ExperimentConfig field but methods
+_FILE_KEYS = {
+    name: f"{section}.{key}" if section else key
+    for section, keys in _CONFIG_KEYS.items()
+    for key, name in keys.items()
+}
+
+
+def _type_fields(obj, keys):
+    """Read each field of the frozen dataclass ``obj`` in place by its type,
+    naming ``keys[name]`` (else the field's name) in a fault; a None stays
+    where the field's default is None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _READERS and not (value is None and f.default is None):
+            object.__setattr__(obj, f.name, _READERS[f.type](value, keys.get(f.name, f.name)))
 
 
 def _read(field, value, path, key):
@@ -385,21 +425,13 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     t0 = time.perf_counter()
     try:
         result = run(problem, solver_cfg, test_objective=test_fn)
-        trace, tally, diverged = result.trace, result.tally, False
+        trace, tally, stop, eval_ms = result.trace, result.tally, result.stop, result.eval_ms
+        final_obj, final_stat = result.final.objective, result.final.total
     except DivergenceError as exc:  # its tally holds what the run was charged
-        trace, tally, diverged = exc.trace, exc.tally or OracleTally(), True
+        trace, tally, eval_ms = exc.trace, exc.tally or OracleTally(), exc.eval_ms
+        stop, final_obj, final_stat = "diverged", float("nan"), float("nan")
     wall_ms = (time.perf_counter() - t0) * 1e3
     emit_trace_csv(trace, trace_path)
-    if diverged:
-        final_obj = final_stat = float("nan")
-    elif trace:  # the stopping row is always an evaluation row
-        final_obj, final_stat = trace[-1].objective, trace[-1].stationarity
-    else:  # max_iters: 0
-        report = stationarity(
-            problem, result.x, result.y, result.lam, problem.constraint.matvec(result.x)
-        )
-        tally.eval_calls += problem.n
-        final_obj, final_stat = report.objective, report.total
     # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and
     # a variance-reduced method's anchor opens a window, a new epoch
     cap = adaptive_batch(solver_cfg.sched, 0.0)
@@ -417,17 +449,21 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         final_objective=final_obj,
         final_stationarity=final_stat,
         batch_cap_hits=cap_hits,
-        diverged=diverged,
+        diverged=stop == "diverged",
+        stop=stop,
         wall_ms=wall_ms,
+        eval_ms=eval_ms,
         trace_path=trace_path,
     )
 
 
 def _set_up(cfg: ExperimentConfig):
     """Load, build and measure what cfg's grid runs on: the train problem, the
-    held-out one (None without a split), sigma2, L and one unseeded SolverConfig
+    held-out one (None without a split), sigma2, L, one unseeded SolverConfig
     per method, whose parameters are checked here (cfg checked its own rules when
-    built).  ``run_experiment`` and ``describe_run`` both set up here."""
+    built), and the StationarityReport at x_0 = y_0 = lam_0 = 0, where every run
+    starts, charged to no cell.  ``run_experiment`` and ``describe_run`` both set
+    up here."""
     # one dense matrix from the parse on: filled in split order, scaled in
     # place, and handed out as row views
     split_seed = _derive_seed(cfg.seed, 0) if cfg.split else None
@@ -450,6 +486,8 @@ def _set_up(cfg: ExperimentConfig):
         x0 = np.zeros(train.d)
         sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
     L = estimate_L(problem)
+    zeros = np.zeros(problem.constraint.m)
+    initial = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)
 
     # build each method's solver config once, surfacing bad method parameters
     # as config errors before any cell runs
@@ -481,7 +519,7 @@ def _set_up(cfg: ExperimentConfig):
             )
         except ValueError as exc:
             raise ConfigError(f"methods[{i}] ({method.name}): {exc}") from exc
-    return problem, test_problem, sigma2, L, solver_cfgs
+    return problem, test_problem, sigma2, L, solver_cfgs, initial
 
 
 def describe_run(cfg: ExperimentConfig) -> dict:
@@ -490,8 +528,9 @@ def describe_run(cfg: ExperimentConfig) -> dict:
     static batch cap against n, the mean squared step above which an adaptive
     method's progress term c_tau*sigma2/tau falls below min(c_eps*sigma2/epsilon,
     n), and the analysis's sufficient conditions at the method's own beta, eta, r
-    and c_tau.  cfg checked its own rules when built, as for ``run_experiment``."""
-    problem, _, sigma2, L, solver_cfgs = _set_up(cfg)
+    and c_tau; then the objective and stationarity at x_0, where every run
+    starts.  cfg checked its own rules when built, as for ``run_experiment``."""
+    problem, _, sigma2, L, solver_cfgs, initial = _set_up(cfg)
     varsigma, opnorm = problem.constraint.spectrum
     methods = []
     for solver_cfg in solver_cfgs:
@@ -514,7 +553,11 @@ def describe_run(cfg: ExperimentConfig) -> dict:
             "sufficient_conditions": dataclasses.asdict(feas),
         }
         methods.append(entry)
-    return {"problem": dataclasses.asdict(_report(problem, L, sigma2)), "methods": methods}
+    return {
+        "problem": dataclasses.asdict(_report(problem, L, sigma2)),
+        "methods": methods,
+        "initial": {"objective": initial.objective, "stationarity": initial.total},
+    }
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
@@ -523,7 +566,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
-    problem, test_problem, sigma2, L, solver_cfgs = _set_up(cfg)
+    problem, test_problem, sigma2, L, solver_cfgs, initial = _set_up(cfg)
     varsigma, opnorm = problem.constraint.spectrum
 
     rows = []
@@ -556,6 +599,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunSummary:
         opnorm=float(opnorm),
         n_train=problem.n,
         n_test=0 if test_problem is None else test_problem.n,
+        initial_objective=initial.objective,
+        initial_stationarity=initial.total,
         rows=rows,
         aggregates=aggregates,
     )

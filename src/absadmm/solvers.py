@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .estimators import OracleTally, minibatch_grad, sample_indices, svrg_grad
-from .kernel import AdmmParams, dual_step, stationarity, x_step, y_step
+from .kernel import AdmmParams, StationarityReport, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
 from .schedulers import SchedulerParams, adaptive_batch
 
@@ -133,8 +133,13 @@ class TraceRecord:
 @dataclass
 class RunResult:
     """What a run returns: its TraceRecord rows in order, the final iterate
-    (x, y, lam), and ``tally``, the run's oracle ledger with solver and
-    evaluation calls kept apart.
+    (x, y, lam), ``tally``, the run's oracle ledger with solver and
+    evaluation calls kept apart, ``final``, the StationarityReport of the
+    final iterate (of x_0 when max_iters is 0, charged n evaluation calls),
+    ``stop``, why the run ended ("target", "oracle_budget" or "max_iters";
+    the target wins on a row that meets it and stops for another reason),
+    and ``eval_ms``, the wall time spent in evaluations, the held-out
+    objective included.
     """
 
     trace: list
@@ -142,6 +147,9 @@ class RunResult:
     y: np.ndarray
     lam: np.ndarray
     tally: OracleTally
+    final: StationarityReport
+    stop: str
+    eval_ms: float
 
 
 @dataclass
@@ -156,7 +164,7 @@ class StepInfo:
     lam_new: np.ndarray
 
 
-def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace, tally):
+def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace, tally, eval_s):
     """Build the DivergenceError for a non-finite ``block`` on ``row``."""
     with np.errstate(all="ignore"):
         dx = x_new - x_old
@@ -174,6 +182,7 @@ def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace, ta
         batch_size=batch_size,
         dx_sq=dx_sq,
         last_stationarity=last_stationarity,
+        eval_ms=eval_s * 1e3,
     )
 
 
@@ -199,14 +208,17 @@ def run(
     # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
     # there when the last row was evaluated, else None
     ax, full_grad = np.zeros(A.m), None
-    last_stationarity = None
+    last_stationarity = report = stop = None
     trace = []
-    # without eval_stride, a row is evaluated once solver calls reach
-    # next_pass, which then moves to the first multiple of n above them
-    next_pass = p.n
+    # the evaluation clock counts rows under eval_stride and solver calls
+    # otherwise; a row is evaluated once it reaches next_eval, which then
+    # moves to the first multiple of the period above the clock
+    by_row = cfg.eval_stride is not None
+    next_eval = period = cfg.eval_stride if by_row else p.n
     # the variance-reduced reference point and its gradient estimate
     ref_x = ref_grad = None
     t0 = time.perf_counter()
+    eval_s = 0.0
     anchor_ss, inner_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_anchor, rng_inner = np.random.default_rng(anchor_ss), np.random.default_rng(inner_ss)
     # tau is the mean squared step of the last closed window, window_sum that
@@ -244,7 +256,9 @@ def run(
                 for name, arr in (("y", y_new), ("x", x_new), ("lam", lam_new))
                 if not np.isfinite(arr).all()
             )
-            raise _diverged(block, row, batch_col, x_old, x_new, last_stationarity, trace, tally)
+            raise _diverged(
+                block, row, batch_col, x_old, x_new, last_stationarity, trace, tally, eval_s
+            )
         if step_monitor is not None:
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
@@ -252,24 +266,32 @@ def run(
         x, y, lam = x_new, y_new, lam_new
         full_grad = None
 
-        over_budget = cfg.oracle_budget is not None and tally.solver_calls >= cfg.oracle_budget
-        if cfg.eval_stride is not None:
-            due = row % cfg.eval_stride == 0
-        else:
-            due = tally.solver_calls >= next_pass
+        # the budget or the last row stops the run before the row's
+        # evaluation and the target after it, so the stopping row is evaluated
+        if cfg.oracle_budget is not None and tally.solver_calls >= cfg.oracle_budget:
+            stop = "oracle_budget"
+        elif row == cfg.max_iters:
+            stop = "max_iters"
+        clock = row if by_row else tally.solver_calls
         obj = stat_total = test_val = None
-        if due or row >= cfg.max_iters or over_budget:
-            next_pass = (tally.solver_calls // p.n + 1) * p.n
+        if clock >= next_eval or stop:
+            t_eval = time.perf_counter()
+            next_eval = (clock // period + 1) * period
             report = stationarity(p, x, y, lam, ax)
             tally.eval_calls += p.n
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
+                eval_s += time.perf_counter() - t_eval
                 raise _diverged(
-                    "stationarity", row, batch_col, x_old, x_new, last_stationarity, trace, tally
+                    "stationarity", row, batch_col, x_old, x_new, last_stationarity,
+                    trace, tally, eval_s,
                 )
             full_grad, last_stationarity = report.grad, stat_total
             if test_objective is not None:
                 test_val = test_objective(x_new)
+            eval_s += time.perf_counter() - t_eval
+            if cfg.target_epsilon is not None and stat_total <= cfg.target_epsilon:
+                stop = "target"
         trace.append(
             TraceRecord(
                 iter=row,
@@ -288,10 +310,13 @@ def run(
             window_sum += float(dx @ dx) / window
             if row % window == 0:
                 tau, window_sum = window_sum, 0.0
-        if over_budget or (
-            cfg.target_epsilon is not None
-            and stat_total is not None
-            and stat_total <= cfg.target_epsilon
-        ):
+        if stop:
             break
-    return RunResult(trace=trace, x=x, y=y, lam=lam, tally=tally)
+    if report is None:  # max_iters: 0 reports x_0
+        t_eval = time.perf_counter()
+        report, stop = stationarity(p, x, y, lam, ax), "max_iters"
+        tally.eval_calls += p.n
+        eval_s += time.perf_counter() - t_eval
+    return RunResult(
+        trace=trace, x=x, y=y, lam=lam, tally=tally, final=report, stop=stop, eval_ms=eval_s * 1e3
+    )

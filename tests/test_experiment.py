@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gzip
 import math
@@ -23,6 +24,7 @@ from absadmm.experiment import (
     parse_trace_csv,
     run_experiment,
 )
+from absadmm.kernel import stationarity
 from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, TraceRecord
 
@@ -382,6 +384,25 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, make_dataset):
     assert namespace["report"].sigma2 == namespace["sigma2"]
 
 
+def test_readme_ledger_cites_existing_tests():
+    # every test the claims ledger names is a test function, and every row
+    # has one of the three statuses
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    heading = "## What the paper claims and what this repository shows\n"
+    ledger = text.split(heading, 1)[1].split("\n## ", 1)[0]
+    cited = set(re.findall(r"tests/(test_\w+\.py)::(\w+)", ledger))
+    assert len(cited) >= 4
+    for module, name in sorted(cited):
+        tree = ast.parse((root / "tests" / module).read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in defined, f"README cites tests/{module}::{name}, which does not exist"
+    rows = [ln for ln in ledger.splitlines() if ln.startswith("| ") and not ln.startswith("| Claim")]
+    statuses = {row.rstrip(" |").rsplit("|", 1)[1].strip() for row in rows}
+    assert len(rows) >= 4
+    assert statuses <= {"measured", "not measured", "not seen on these workloads"}, statuses
+
+
 def test_run_experiment_artifacts(tmp_path, config_file):
     out = tmp_path / "out"
     summary = run_experiment(load_config(config_file()), str(out))
@@ -401,7 +422,8 @@ def test_run_experiment_artifacts(tmp_path, config_file):
     assert set(loaded["aggregates"]) == {"sadmm", "svrg_admm_adaptive"}
     assert loaded["aggregates"]["sadmm"]["runs"] == 2
     assert list(loaded) == [
-        "version", "sigma2", "L", "varsigma", "opnorm", "n_train", "n_test", "runs", "aggregates"
+        "version", "sigma2", "L", "varsigma", "opnorm", "n_train", "n_test",
+        "initial_objective", "initial_stationarity", "runs", "aggregates",
     ]
     assert list(loaded["runs"][0]) == [f.name for f in dataclasses.fields(experiment.RunRow)]
 
@@ -495,6 +517,56 @@ def test_zero_iterations_still_report_final_values(tmp_path, config_file):
         assert row.eval_calls == summary.n_train
         assert np.isfinite(row.final_objective) and np.isfinite(row.final_stationarity)
         assert parse_trace_csv(row.trace_path) == []
+
+
+@pytest.mark.parametrize(
+    "budget, stop",
+    [
+        ({"max_iters": 8}, "max_iters"),
+        ({"max_iters": 50, "oracle_budget": 20}, "oracle_budget"),
+        ({"max_iters": 50, "target_epsilon": 1e9}, "target"),
+    ],
+)
+def test_summary_rows_say_how_each_cell_stopped(tmp_path, config_file, budget, stop):
+    out = tmp_path / "out"
+    summary = run_experiment(load_config(config_file(budget=budget)), str(out))
+    written = yaml.safe_load((out / "summary.yaml").read_text())["runs"]
+    for row, entry in zip(summary.rows, written):
+        assert row.stop == entry["stop"] == stop
+        assert 0.0 < row.eval_ms == entry["eval_ms"] <= row.wall_ms
+
+
+def test_diverged_cell_row_reads_stop_diverged(tmp_path, config_file, monkeypatch):
+    # rows 1 and 2 are evaluated, then row 3 goes non-finite
+    _diverge_at_row(monkeypatch, solvers, "x_step", 3, lambda x: np.full_like(x, np.nan))
+    sadmm = {"name": "sadmm", "beta": 1.0, "eta": 0.5}
+    cfg = load_config(config_file(eval_stride=1, repeats=1, methods=[sadmm]))
+    (row,) = run_experiment(cfg, str(tmp_path / "out")).rows
+    assert (row.stop, row.diverged, row.iterations) == ("diverged", True, 2)
+    assert 0.0 < row.eval_ms <= row.wall_ms
+
+
+def test_summary_and_advise_report_the_start(tmp_path, config_file, capsys):
+    path = config_file(budget={"max_iters": 0})
+    cfg = load_config(path)
+    problem = experiment._set_up(cfg)[0]
+    zeros = np.zeros(problem.constraint.m)
+    want = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)
+    out = tmp_path / "out"
+    summary = run_experiment(cfg, str(out))
+    assert (summary.initial_objective, summary.initial_stationarity) == (want.objective, want.total)
+    written = yaml.safe_load((out / "summary.yaml").read_text())
+    assert (written["initial_objective"], written["initial_stationarity"]) == (
+        want.objective, want.total,
+    )
+    # every run starts there, so a run of no rows reports it; set-up's
+    # evaluation is charged to no cell, and each cell pays n for its own
+    for row in summary.rows:
+        assert (row.final_objective, row.final_stationarity) == (want.objective, want.total)
+        assert row.eval_calls == summary.n_train
+    assert main(["advise", "--config", path]) == 0
+    initial = yaml.safe_load(capsys.readouterr().out)["initial"]
+    assert initial == {"objective": want.objective, "stationarity": want.total}
 
 
 def test_parse_trace_rejects_foreign_header(tmp_path):
@@ -1023,7 +1095,7 @@ def test_cli_advise_estimates_L_once(config_file, capsys, monkeypatch):
     # set-up's L is the report's: advise makes no second O(n*d) pass for it
     path = config_file(sigma2=0.005)
     cfg = load_config(path)
-    problem, _, sigma2, _, _ = experiment._set_up(cfg)
+    problem, _, sigma2, _, _, _ = experiment._set_up(cfg)
     want = yaml.safe_dump(
         {"problem": dataclasses.asdict(advisor.advise(problem, sigma2=sigma2))}, sort_keys=False
     )
@@ -1111,6 +1183,18 @@ _PYTHON_FAULTS = [
         dict(methods=(MethodSpec(name="sadm", beta=1.0, eta=0.5),)),
         f"methods[0].name 'sadm' not one of {METHODS}",
     ),
+    # each field is read by its type, as load_config reads the file
+    ("string-count", dict(repeats="2"), "repeats must be an integer, got '2'"),
+    ("string-real", dict(l1="abc"), "problem.l1 must be a number, got 'abc'"),
+    ("fractional-seed", dict(seed=1.5), "seed must be an integer, got 1.5"),
+    ("string-bool", dict(normalize="false"), "dataset.normalize must be true or false, got 'false'"),
+    ("null-count", dict(max_iters=None), "budget.max_iters must be an integer, got None"),
+    ("null-path", dict(dataset_path=None), "dataset.path must be text, got None"),
+    (
+        "mapping-method",
+        dict(methods=({"name": "sadmm"},)),
+        "methods[0] must be a MethodSpec, got {'name': 'sadmm'}",
+    ),
 ]
 
 
@@ -1125,3 +1209,15 @@ def test_python_config_faults_raise_at_construction(data_file, route, fields, wa
         else:
             dataclasses.replace(ExperimentConfig(**_python_config(data_file)), **fields)
     assert str(exc_info.value) == want
+
+
+def test_method_spec_reads_its_fields_by_type(data_file):
+    with pytest.raises(ConfigError, match=r"^beta must be a number, got 'x'$"):
+        MethodSpec(name="sadmm", beta="x", eta=1.0)
+    with pytest.raises(ConfigError, match=r"^b must be an integer, got 2\.5$"):
+        MethodSpec(name="sadmm", beta=1.0, eta=1.0, b=2.5)
+    # what a file may hold converts as it does from the file
+    spec = MethodSpec(name="sadmm", beta=1, eta="0.5", b=4.0)
+    assert (spec.beta, spec.eta, spec.b) == (1.0, 0.5, 4) and type(spec.b) is int
+    cfg = dataclasses.replace(ExperimentConfig(**_python_config(data_file)), seed=2.0)
+    assert type(cfg.seed) is int and cfg.seed == 2

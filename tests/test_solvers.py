@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 import absadmm.solvers as solvers
 from absadmm.errors import DivergenceError
-from absadmm.kernel import AdmmParams, make_admm_params
+from absadmm.kernel import AdmmParams, make_admm_params, stationarity
 from absadmm.problems import batch_grad_difference, batch_mean_grad, build_fused_logistic
 from absadmm.schedulers import SchedulerParams, adaptive_batch
 from absadmm.solvers import METHODS, SolverConfig, run
@@ -234,6 +236,53 @@ def test_target_epsilon_stop(fused):
     res = run(fused, _config(fused, "sadmm", target_epsilon=1e9, eval_stride=1, max_iters=50))
     assert len(res.trace) == 1
     assert res.trace[0].stationarity is not None
+
+
+def test_stop_max_iters_reports_the_final_iterate(fused):
+    res = run(fused, _config(fused, "sadmm", max_iters=12, eval_stride=5))
+    last = res.trace[-1]
+    assert (res.stop, last.iter) == ("max_iters", 12)
+    assert (res.final.objective, res.final.total) == (last.objective, last.stationarity)
+    assert res.final == stationarity(fused, res.x, res.y, res.lam, fused.constraint.matvec(res.x))
+    # a run of no rows reports x_0 and is charged that evaluation
+    res = run(fused, _config(fused, "sadmm", max_iters=0))
+    zeros = np.zeros(fused.constraint.m)
+    assert res.stop == "max_iters" and res.trace == []
+    assert res.final == stationarity(fused, np.zeros(fused.constraint.d1), zeros, zeros, zeros)
+    assert res.tally.eval_calls == fused.n and res.eval_ms > 0.0
+
+
+def test_stop_oracle_budget(fused):
+    res = run(fused, _config(fused, "sadmm", oracle_budget=100, max_iters=1000))
+    assert res.stop == "oracle_budget"
+    assert res.final.total == res.trace[-1].stationarity
+
+
+def test_stop_target_wins_on_the_row_that_meets_it(fused):
+    # the first row meets a target of 1e9 alone, on the budget's row and on the last row
+    for kw in ({}, {"oracle_budget": 1}, {"max_iters": 1}):
+        res = run(fused, _config(fused, "sadmm", target_epsilon=1e9, **kw))
+        assert (res.stop, len(res.trace)) == ("target", 1), kw
+    # met part-way, it stops the run on the first row at or below it
+    full = run(fused, _config(fused, "sadmm", eval_stride=1))
+    level = full.trace[5].stationarity
+    first = next(r.iter for r in full.trace if r.stationarity <= level)
+    res = run(fused, _config(fused, "sadmm", eval_stride=1, target_epsilon=level))
+    assert (res.stop, len(res.trace)) == ("target", first)
+
+
+def test_eval_ms_holds_the_evaluations_and_the_held_out_objective(fused, monkeypatch):
+    real = solvers.stationarity
+
+    def slow(*args):
+        time.sleep(0.002)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "stationarity", slow)
+    held_out = lambda x: time.sleep(0.003) or 0.0  # noqa: E731
+    res = run(fused, _config(fused, "sadmm", max_iters=6, eval_stride=2), test_objective=held_out)
+    # rows 2, 4 and 6 are evaluated, each for at least 5 ms, on the run's clock
+    assert 15.0 <= res.eval_ms <= res.trace[-1].time_ms
 
 
 def test_eval_stride_rows(fused):
