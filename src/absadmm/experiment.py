@@ -101,7 +101,7 @@ _CSV_FIELDS = ("iter", "epoch", "batch_size", "oracle_calls", "objective", "stat
 @dataclass(frozen=True)
 class MethodSpec:
     """One method entry of the experiment grid; construction reads each field
-    by its type, as ``load_config`` reads the file, so ``beta="x"`` raises a
+    by its type, from a file's entry or a script, so ``beta="x"`` raises a
     ConfigError that names ``beta``."""
 
     name: str
@@ -123,8 +123,8 @@ class MethodSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment, built from a file, by ``dataclasses.replace`` or in a script:
-    construction reads each field by its type, as ``load_config`` reads the file,
-    then raises a ConfigError naming the config key of the first broken rule."""
+    construction reads each field by its type, then raises a ConfigError naming
+    the config key of the first broken rule."""
 
     dataset_path: str
     problem_kind: str  # "fused_logistic" or "graph_guided"
@@ -280,12 +280,6 @@ def parse_trace_csv(path):
     return out
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {sorted(unknown, key=str)}")
-
-
 def _int(value, key):
     """An integer config value; never truncates."""
     if isinstance(value, float) and value.is_integer():
@@ -316,9 +310,9 @@ def _bool(value, key):
 
 
 def _str(value, key):
-    """A text config value; a number reads as its text, as in ``path: 2024``."""
-    if value is None:
-        raise ConfigError(f"{key} must be text, got None")
+    """A text config value: a string, or a number read as its text, as in ``path: 2024``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{key} must be text, got {value!r}")
     return str(value)
 
 
@@ -346,34 +340,39 @@ def _type_fields(obj, keys):
             object.__setattr__(obj, f.name, _READERS[f.type](value, keys.get(f.name, f.name)))
 
 
-def _read(field, value, path, key):
-    """Read config ``value`` by its dataclass ``field``'s type and default.
-
-    A null counts as an absent key: it takes the field's default, or is the
-    missing required key ``path`` when the field has none.  A value of the
-    wrong type is a config error that names ``key``.
-    """
-    if value is None:
-        if field.default is dataclasses.MISSING:
-            raise ConfigError(f"missing required config key {path}")
-        return field.default
-    return _READERS[field.type](value, key)
+def _given(mapping, keys, cls, where):
+    """The values the file's ``mapping`` at ``where`` ("" for the top level)
+    gives for ``keys`` ({file key: field of ``cls``}), by field and as read:
+    ``cls`` types them.  Any other key is unknown, a null counts as an absent
+    key, and an absent key whose field has no default is missing."""
+    unknown = set(mapping) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where or 'config'} has unknown keys {sorted(unknown, key=str)}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
+    for key, name in keys.items():
+        if mapping.get(key) is not None:
+            values[name] = mapping[key]
+        elif defaults[name] is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {f'{where}.{key}' if where else key}")
+    return values
 
 
 def _method(entry, where):
-    """One methods entry, read field by field as a MethodSpec."""
+    """One methods entry as a MethodSpec, whose faults are named by ``where``."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
-    fields = dataclasses.fields(MethodSpec)
-    _reject_unknown(entry, [f.name for f in fields], where)
-    values = {}
-    for f in fields:
-        values[f.name] = _read(f, entry.get(f.name), f"{where}.{f.name}", f"{where}: {f.name}")
-    return MethodSpec(**values)
+    names = [f.name for f in dataclasses.fields(MethodSpec)]
+    values = _given(entry, dict(zip(names, names)), MethodSpec, where)
+    try:
+        return MethodSpec(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a YAML experiment config key by key; the ExperimentConfig it builds checks values."""
+    """Read a YAML experiment config's layout; the MethodSpecs and the
+    ExperimentConfig it builds from the given values type and check them."""
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=_ConfigLoader)
@@ -387,24 +386,14 @@ def load_config(path) -> ExperimentConfig:
     workers = doc.pop("workers", None)
     if workers is not None and _int(workers, "workers") != 1:
         raise ConfigError(f"workers must be 1, got {workers!r}: the grid runs in one process")
-    _reject_unknown(doc, [*_CONFIG_KEYS[""], *_CONFIG_KEYS, "methods"], "config")
-
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    values = {}
-    for section, keys in _CONFIG_KEYS.items():
-        mapping = doc
-        if section:
-            mapping = doc.get(section)
-            if mapping is None:
-                mapping = {}
-            if not isinstance(mapping, dict):
-                raise ConfigError(f"config section {section!r} must be a mapping")
-            _reject_unknown(mapping, keys, section)
-        for key, name in keys.items():
-            where = f"{section}.{key}" if section else key
-            values[name] = _read(fields[name], mapping.get(key), where, where)
-    raw_methods = doc.get("methods")
-    entries = raw_methods if isinstance(raw_methods, list) else []  # none, which the config rejects
+    entries = doc.pop("methods", None)
+    sections = {section: doc.pop(section, None) for section in _CONFIG_KEYS if section}
+    values = _given(doc, _CONFIG_KEYS[""], ExperimentConfig, "")
+    for section, mapping in sections.items():
+        if not isinstance(mapping, (dict, type(None))):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        values.update(_given(mapping or {}, _CONFIG_KEYS[section], ExperimentConfig, section))
+    entries = entries if isinstance(entries, list) else []  # none, which the config rejects
     methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(entries))
     return ExperimentConfig(methods=methods, **values)
 

@@ -338,10 +338,9 @@ def build_graph_guided(
     if d > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.corrcoef(ds.features, rowvar=False)
-        corr = np.nan_to_num(corr, nan=0.0)  # constant columns carry no edges
-        heads, tails = np.triu_indices(d, k=1)  # pairs (p < q) in row-major order
-        keep = np.abs(corr[heads, tails]) >= corr_threshold
-        heads, tails = heads[keep], tails[keep]
+        np.nan_to_num(corr, copy=False, nan=0.0)  # constant columns carry no edges
+        # pairs (p < q) in row-major order
+        heads, tails = np.nonzero(np.triu(np.abs(corr) >= corr_threshold, 1))
     e = heads.size
     edges = np.arange(e)
     cs = _GraphIncidence(

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import gzip
 import math
@@ -141,6 +142,7 @@ def test_load_config_rejects(tmp_path, data_file, mutate, msg):
         (lambda d: d["methods"][1].update(T=1.5), r"methods\[1\]: T"),
         (lambda d: d["methods"][1].update(q=3.3), r"methods\[1\]: q"),
         (lambda d: d.update(repeat=3), r"config has unknown keys \['repeat'\]"),
+        (lambda d: d.update({"": 1}), r"config has unknown keys \[''\]"),
         (lambda d: d["dataset"].update(normlize=True), r"dataset has unknown keys \['normlize'\]"),
         (lambda d: d["problem"].update(l3=0.1), r"problem has unknown keys \['l3'\]"),
         (
@@ -913,6 +915,29 @@ _ADVISE_FAULTS = [
         lambda d: d["methods"][0].update(beta=-1.0),
         "methods[0] (sadmm): beta must be positive and finite",
     ),
+    # a text key takes a string or a number: not a data error about a path
+    # that is a list's repr, nor an unknown kind or method name
+    (
+        "path-list",
+        lambda d: d["dataset"].update(path=["a", "b"]),
+        "dataset.path must be text, got ['a', 'b']",
+    ),
+    (
+        "path-mapping",
+        lambda d: d["dataset"].update(path={"a": 1}),
+        "dataset.path must be text, got {'a': 1}",
+    ),
+    (
+        "kind-list",
+        lambda d: d["problem"].update(kind=["fused_logistic"]),
+        "problem.kind must be text, got ['fused_logistic']",
+    ),
+    ("kind-bool", lambda d: d["problem"].update(kind=True), "problem.kind must be text, got True"),
+    (
+        "name-list",
+        lambda d: d["methods"][0].update(name=["sadmm"]),
+        "methods[0]: name must be text, got ['sadmm']",
+    ),
 ]
 
 
@@ -1195,6 +1220,13 @@ _PYTHON_FAULTS = [
         dict(methods=({"name": "sadmm"},)),
         "methods[0] must be a MethodSpec, got {'name': 'sadmm'}",
     ),
+    # a text field takes a string or a number, not a list's or a mapping's repr
+    ("list-path", dict(dataset_path=["a"]), "dataset.path must be text, got ['a']"),
+    (
+        "list-kind",
+        dict(problem_kind=["fused_logistic"]),
+        "problem.kind must be text, got ['fused_logistic']",
+    ),
 ]
 
 
@@ -1216,8 +1248,51 @@ def test_method_spec_reads_its_fields_by_type(data_file):
         MethodSpec(name="sadmm", beta="x", eta=1.0)
     with pytest.raises(ConfigError, match=r"^b must be an integer, got 2\.5$"):
         MethodSpec(name="sadmm", beta=1.0, eta=1.0, b=2.5)
+    with pytest.raises(ConfigError, match=r"^name must be text, got \['sadmm'\]$"):
+        MethodSpec(name=["sadmm"], beta=1.0, eta=1.0)
     # what a file may hold converts as it does from the file
     spec = MethodSpec(name="sadmm", beta=1, eta="0.5", b=4.0)
     assert (spec.beta, spec.eta, spec.b) == (1.0, 0.5, 4) and type(spec.b) is int
     cfg = dataclasses.replace(ExperimentConfig(**_python_config(data_file)), seed=2.0)
     assert type(cfg.seed) is int and cfg.seed == 2
+    assert dataclasses.replace(cfg, dataset_path=2024).dataset_path == "2024"
+
+
+def test_each_config_value_meets_its_reader_once(tmp_path, data_file, monkeypatch):
+    # load_config reads the file's layout and hands each value, as read, to
+    # MethodSpec and ExperimentConfig, which type it: one reading per value
+    reads = collections.Counter()
+
+    def counting(reader):
+        def read(value, key):
+            reads[key] += 1
+            return reader(value, key)
+
+        return read
+
+    for kind, reader in list(experiment._READERS.items()):
+        monkeypatch.setitem(experiment._READERS, kind, counting(reader))
+    method = {
+        "name": "svrg_admm_adaptive", "beta": 1.0, "eta": 0.5, "r": 3.0, "c_tau": 0.5,
+        "c_eps": 2.0, "epsilon": 0.01, "tau_init": 0.1, "b": 2, "T": 3, "q": 2,
+    }
+    doc = {
+        "seed": 4, "repeats": 1, "eval_stride": 2, "sigma2": 0.5,
+        "dataset": {"path": data_file, "d_hint": 4, "normalize": True},
+        "problem": {"kind": "graph_guided", "l1": 0.05, "l2": 0.01, "corr_threshold": 0.5},
+        "budget": {"max_iters": 3, "oracle_budget": 100, "target_epsilon": 0.01},
+        "split": {"enabled": False},
+        "methods": [method],
+    }
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    cfg = load_config(str(path))
+    sections = {k: v for k, v in doc.items() if isinstance(v, dict)}
+    want = {key: 1 for key in doc if key not in sections and key != "methods"}
+    want.update({f"{s}.{key}": 1 for s, keys in sections.items() for key in keys})
+    want.update({key: 1 for key in method})  # a method's fault names its field
+    # every field of both configs is given
+    assert len(want) == len(dataclasses.fields(ExperimentConfig)) - 1 + len(method)
+    assert set(method) == {f.name for f in dataclasses.fields(MethodSpec)}
+    assert dict(reads) == want
+    assert (cfg.sigma2, cfg.dataset_path, cfg.split, cfg.methods[0].T) == (0.5, data_file, False, 3)
