@@ -20,14 +20,14 @@ class UnsupportedProblemError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when a solver iterate or an evaluation becomes non-finite.
 
-    Carries the trace collected up to (not including) the bad iteration and,
-    when the solver raises it, the run's oracle ledger ``tally`` (the bad
-    row's charges included) and where the run broke down: ``block`` is the
-    first non-finite block in update order ("y", "x" or "lam"), or
-    "stationarity" when the iterates are finite but the row's evaluated
-    objective or stationarity is not; ``row`` is the 1-based iteration,
-    ``batch_size`` that row's scheduled draw, ``dx_sq`` its squared step
-    ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last finite
+    Carries the trace collected up to (not including) the bad iteration, the
+    run's oracle ledger ``solver_calls`` and ``eval_calls`` (the bad row's
+    charges included; 0 unless the solver raised it), and where the run broke
+    down: ``block`` is the first non-finite block in update order ("y", "x"
+    or "lam"), or "stationarity" when the iterates are finite but the row's
+    evaluated objective or stationarity is not; ``row`` is the 1-based
+    iteration, ``batch_size`` that row's scheduled draw, ``dx_sq`` its squared
+    step ||x_{k+1} - x_k||^2, and ``last_stationarity`` the last finite
     stationarity evaluated (None before there is one).  ``eval_ms`` is the
     wall time the run spent in evaluations, the failing one included.
     """
@@ -37,7 +37,8 @@ class DivergenceError(RuntimeError):
         message,
         trace=None,
         *,
-        tally=None,
+        solver_calls=0,
+        eval_calls=0,
         block=None,
         row=None,
         batch_size=None,
@@ -47,7 +48,8 @@ class DivergenceError(RuntimeError):
     ):
         super().__init__(message)
         self.trace = trace if trace is not None else []
-        self.tally = tally
+        self.solver_calls = solver_calls
+        self.eval_calls = eval_calls
         self.block = block
         self.row = row
         self.batch_size = batch_size

@@ -1,6 +1,7 @@
-"""Stochastic gradient estimators and oracle-call accounting.
+"""Stochastic gradient estimators.
 
-Two functions make every gradient estimate the solver loop takes.
+Two pure functions of their arrays make every gradient estimate the solver
+loop takes; the loop charges the calls they make.
 ``minibatch_grad`` is the mean gradient over a batch of distinct indices: an
 anchor's gradient, and sadmm's whole estimate.  ``svrg_grad`` is the
 variance-reduced estimate v = grad_I(x) - grad_I(ref_x) + ref_grad against a
@@ -9,13 +10,11 @@ of the two batch gradients with one X_I^T product, so when x equals ref_x the
 batch terms cancel exactly and v is ref_grad.  A whole-set anchor reduces the
 whole set in place, in index order: ``full_grad``, the exact gradient at x
 when the loop already holds it from an evaluation, is returned in place of a
-second pass over the data and is charged as if it had made that pass.
+second pass over the data.
 
 All estimators reduce over their batch in sorted index order, so identical
 index multisets give bitwise-identical results regardless of draw order.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +27,11 @@ from .problems import (
 )
 
 __all__ = [
-    "OracleTally",
     "sample_indices",
     "minibatch_grad",
     "svrg_grad",
     "estimate_sigma2",
 ]
-
-
-@dataclass
-class OracleTally:
-    """Cumulative component-gradient evaluations.
-
-    solver_calls counts work charged to the algorithm; eval_calls counts the
-    full gradients spent on stationarity diagnostics, kept separate so traces
-    report pure solver cost.
-    """
-
-    solver_calls: int = 0
-    eval_calls: int = 0
 
 
 def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -66,33 +51,30 @@ def sample_indices(n: int, size: int, mode: str, rng: np.random.Generator) -> np
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
-def minibatch_grad(p: ProblemInstance, x, batch, tally: OracleTally, full_grad=None):
+def minibatch_grad(p: ProblemInstance, x, batch, full_grad=None):
     """Plain mini-batch gradient: mean of the component gradients over ``batch``.
 
     ``batch`` holds distinct indices, so a batch of n is the whole set, which
     needs no sort: the result is then ``full_grad``, the exact gradient at x,
     when it is given, and ``full_gradient`` otherwise.  Both reduce in index
-    order like a sorted batch, so all three are bitwise equal.  The batch is
-    charged either way.
+    order like a sorted batch, so all three are bitwise equal.
     """
     idx = np.asarray(batch, dtype=np.intp)
-    tally.solver_calls += idx.shape[0]
     if idx.shape[0] == p.n:
         return full_gradient(p, x) if full_grad is None else full_grad
     return batch_mean_grad(p, x, np.sort(idx))
 
 
-def svrg_grad(p: ProblemInstance, x, batch, ref_x, ref_grad, tally: OracleTally):
+def svrg_grad(p: ProblemInstance, x, batch, ref_x, ref_grad):
     """Variance-reduced gradient v = grad_I(x) - grad_I(ref_x) + ref_grad.
 
     One gather of the sorted batch I and one X_I^T product give the batch
-    difference (``batch_grad_difference``), and the step is charged 2|batch|
-    component gradients.  The solver loop picks the reference (ref_x,
-    ref_grad): SVRG holds its anchor for a whole window, SPIDER rolls it to
-    the last iterate and estimate after every step.
+    difference (``batch_grad_difference``) from 2|batch| component gradients.
+    The solver loop picks the reference (ref_x, ref_grad): SVRG holds its
+    anchor for a whole window, SPIDER rolls it to the last iterate and
+    estimate after every step.
     """
     idx = np.sort(np.asarray(batch, dtype=np.intp))
-    tally.solver_calls += 2 * idx.shape[0]
     return batch_grad_difference(p, x, ref_x, idx) + ref_grad
 
 

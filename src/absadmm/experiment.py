@@ -22,10 +22,10 @@ from . import __version__
 from .advisor import _report, estimate_L, feasibility_at
 from .datasets import d_hint_fault, load_libsvm
 from .errors import ConfigError, DivergenceError, SplitError
-from .estimators import OracleTally, estimate_sigma2
+from .estimators import estimate_sigma2
 from .kernel import make_admm_params, stationarity
 from .problems import build_fused_logistic, build_graph_guided, objective
-from .schedulers import SchedulerParams, adaptive_batch
+from .schedulers import SchedulerParams, adaptive_batch, progress_binds_above
 from .solvers import METHODS, SolverConfig, TraceRecord, run
 
 __all__ = [
@@ -393,8 +393,10 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(mapping, (dict, type(None))):
             raise ConfigError(f"config section {section!r} must be a mapping")
         values.update(_given(mapping or {}, _CONFIG_KEYS[section], ExperimentConfig, section))
-    entries = entries if isinstance(entries, list) else []  # none, which the config rejects
-    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(entries))
+    # absent or null is no methods, which the config rejects
+    if not isinstance(entries, (list, type(None))):
+        raise ConfigError(f"methods must be a list of method entries, got {entries!r}")
+    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(entries or ()))
     return ExperimentConfig(methods=methods, **values)
 
 
@@ -414,11 +416,10 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     t0 = time.perf_counter()
     try:
         result = run(problem, solver_cfg, test_objective=test_fn)
-        trace, tally, stop, eval_ms = result.trace, result.tally, result.stop, result.eval_ms
-        final_obj, final_stat = result.final.objective, result.final.total
-    except DivergenceError as exc:  # its tally holds what the run was charged
-        trace, tally, eval_ms = exc.trace, exc.tally or OracleTally(), exc.eval_ms
-        stop, final_obj, final_stat = "diverged", float("nan"), float("nan")
+        stop, final_obj, final_stat = result.stop, result.final.objective, result.final.total
+    except DivergenceError as exc:  # it carries the trace and what the run was charged
+        result, stop, final_obj, final_stat = exc, "diverged", float("nan"), float("nan")
+    trace = result.trace
     wall_ms = (time.perf_counter() - t0) * 1e3
     emit_trace_csv(trace, trace_path)
     # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and
@@ -433,15 +434,15 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         repeat=rep,
         seed=solver_cfg.seed,
         iterations=len(trace),
-        solver_calls=tally.solver_calls,
-        eval_calls=tally.eval_calls,
+        solver_calls=result.solver_calls,
+        eval_calls=result.eval_calls,
         final_objective=final_obj,
         final_stationarity=final_stat,
         batch_cap_hits=cap_hits,
         diverged=stop == "diverged",
         stop=stop,
         wall_ms=wall_ms,
-        eval_ms=eval_ms,
+        eval_ms=result.eval_ms,
         trace_path=trace_path,
     )
 
@@ -526,7 +527,6 @@ def describe_run(cfg: ExperimentConfig) -> dict:
         admm, sp = solver_cfg.admm, solver_cfg.sched
         # a static method's progress term never binds
         adaptive = solver_cfg.method.endswith("_adaptive")
-        binds = max(sp.c_tau * sp.epsilon / sp.c_eps, sp.c_tau * sp.sigma2 / sp.n)
         feas = feasibility_at(admm, sp.c_tau, L, varsigma, opnorm)
         entry = {
             "name": solver_cfg.method,
@@ -538,7 +538,7 @@ def describe_run(cfg: ExperimentConfig) -> dict:
             "c_eps_sigma2_over_epsilon": sp.c_eps * sp.sigma2 / sp.epsilon,
             "static_cap": adaptive_batch(sp, 0.0),
             "n": sp.n,
-            "progress_binds_above": binds if adaptive else None,
+            "progress_binds_above": progress_binds_above(sp) if adaptive else None,
             "sufficient_conditions": dataclasses.asdict(feas),
         }
         methods.append(entry)

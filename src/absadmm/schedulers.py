@@ -12,6 +12,7 @@ from dataclasses import dataclass
 __all__ = [
     "SchedulerParams",
     "adaptive_batch",
+    "progress_binds_above",
 ]
 
 
@@ -55,3 +56,12 @@ def adaptive_batch(sp: SchedulerParams, tau: float) -> int:
     """
     progress = math.inf if tau == 0.0 else sp.c_tau * sp.sigma2 / tau
     return max(1, math.ceil(min(progress, sp.c_eps * sp.sigma2 / sp.epsilon, sp.n)))
+
+
+def progress_binds_above(sp: SchedulerParams) -> float:
+    """The progress value above which ``adaptive_batch`` leaves its static cap.
+
+    c_tau*sigma2/tau falls below min(c_eps*sigma2/epsilon, n) exactly when tau
+    exceeds max(c_tau*epsilon/c_eps, c_tau*sigma2/n), for sigma2 > 0.
+    """
+    return max(sp.c_tau * sp.epsilon / sp.c_eps, sp.c_tau * sp.sigma2 / sp.n)

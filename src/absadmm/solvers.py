@@ -39,6 +39,9 @@ takes that gradient instead of a second pass; a whole-set anchor after an
 unevaluated row makes its own pass in index order, without sorting the draw.
 The draw still consumes the anchor stream, and both ledgers are charged as if
 each side had made its own pass.
+
+The loop alone keeps the oracle ledger: an anchor of N rows charges N solver
+calls, an inner step 2b, and an evaluation n evaluation calls.
 """
 
 import time
@@ -48,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .estimators import OracleTally, minibatch_grad, sample_indices, svrg_grad
+from .estimators import minibatch_grad, sample_indices, svrg_grad
 from .kernel import AdmmParams, StationarityReport, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
 from .schedulers import SchedulerParams, adaptive_batch
@@ -133,20 +136,21 @@ class TraceRecord:
 @dataclass
 class RunResult:
     """What a run returns: its TraceRecord rows in order, the final iterate
-    (x, y, lam), ``tally``, the run's oracle ledger with solver and
-    evaluation calls kept apart, ``final``, the StationarityReport of the
-    final iterate (of x_0 when max_iters is 0, charged n evaluation calls),
-    ``stop``, why the run ended ("target", "oracle_budget" or "max_iters";
-    the target wins on a row that meets it and stops for another reason),
-    and ``eval_ms``, the wall time spent in evaluations, the held-out
-    objective included.
+    (x, y, lam), the run's oracle ledger (``solver_calls`` charged to the
+    method, ``eval_calls`` to its evaluations), ``final``, the
+    StationarityReport of the final iterate (of x_0 when max_iters is 0,
+    charged n evaluation calls), ``stop``, why the run ended ("target",
+    "oracle_budget" or "max_iters"; the target wins on a row that meets it and
+    stops for another reason), and ``eval_ms``, the wall time spent in
+    evaluations, the held-out objective included.
     """
 
     trace: list
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
-    tally: OracleTally
+    solver_calls: int
+    eval_calls: int
     final: StationarityReport
     stop: str
     eval_ms: float
@@ -162,28 +166,6 @@ class StepInfo:
     y_new: np.ndarray
     x_new: np.ndarray
     lam_new: np.ndarray
-
-
-def _diverged(block, row, batch_size, x_old, x_new, last_stationarity, trace, tally, eval_s):
-    """Build the DivergenceError for a non-finite ``block`` on ``row``."""
-    with np.errstate(all="ignore"):
-        dx = x_new - x_old
-        dx_sq = float(dx @ dx)
-    last_text = "none" if last_stationarity is None else f"{last_stationarity:.6g}"
-    what = "evaluation" if block == "stationarity" else "iterate"
-    return DivergenceError(
-        f"non-finite {what} at iteration {row}: block {block} "
-        f"(batch size {batch_size}, ||dx||^2 = {dx_sq:.6g}, "
-        f"last finite stationarity {last_text})",
-        trace=trace,
-        tally=tally,
-        block=block,
-        row=row,
-        batch_size=batch_size,
-        dx_sq=dx_sq,
-        last_stationarity=last_stationarity,
-        eval_ms=eval_s * 1e3,
-    )
 
 
 # the SolverConfig field holding the anchor window, per base method; sadmm's
@@ -203,7 +185,7 @@ def run(
     adaptive = base != cfg.method
     window = getattr(cfg, window_field) if window_field else 1
     sp, admm, A = cfg.sched, cfg.admm, p.constraint
-    tally = OracleTally()
+    solver_calls = eval_calls = 0
     x, y, lam = np.zeros(A.d1), np.zeros(A.m), np.zeros(A.m)
     # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
     # there when the last row was evaluated, else None
@@ -227,6 +209,29 @@ def run(
     # methods read 0.0 at every anchor
     tau = sp.tau_init if adaptive and window_field else 0.0
     window_sum = 0.0
+
+    def diverged(block):
+        """The DivergenceError for a non-finite ``block`` on the current row."""
+        with np.errstate(all="ignore"):
+            dx = x_new - x_old
+            dx_sq = float(dx @ dx)
+        last_text = "none" if last_stationarity is None else f"{last_stationarity:.6g}"
+        what = "evaluation" if block == "stationarity" else "iterate"
+        return DivergenceError(
+            f"non-finite {what} at iteration {row}: block {block} "
+            f"(batch size {batch_col}, ||dx||^2 = {dx_sq:.6g}, "
+            f"last finite stationarity {last_text})",
+            trace=trace,
+            solver_calls=solver_calls,
+            eval_calls=eval_calls,
+            block=block,
+            row=row,
+            batch_size=batch_col,
+            dx_sq=dx_sq,
+            last_stationarity=last_stationarity,
+            eval_ms=eval_s * 1e3,
+        )
+
     for k in range(cfg.max_iters):
         row = k + 1
         batch_col = cfg.b
@@ -234,12 +239,14 @@ def run(
         if anchored:
             N = adaptive_batch(sp, tau)
             anchor = sample_indices(p.n, N, "without_replacement", rng_anchor)
-            ref_x, ref_grad = x, minibatch_grad(p, x, anchor, tally, full_grad)
+            ref_x, ref_grad = x, minibatch_grad(p, x, anchor, full_grad)
             v, batch_col = ref_grad, N
+            solver_calls += N
         # svrg's anchor row also takes an inner step, against the anchor it just set
         if not anchored or base == "svrg_admm":
             batch = sample_indices(p.n, cfg.b, "with_replacement", rng_inner)
-            v = svrg_grad(p, x, batch, ref_x, ref_grad, tally)
+            v = svrg_grad(p, x, batch, ref_x, ref_grad)
+            solver_calls += 2 * cfg.b
             if base == "spider_admm":
                 ref_x, ref_grad = x, v  # spider rolls the reference every step
 
@@ -256,9 +263,7 @@ def run(
                 for name, arr in (("y", y_new), ("x", x_new), ("lam", lam_new))
                 if not np.isfinite(arr).all()
             )
-            raise _diverged(
-                block, row, batch_col, x_old, x_new, last_stationarity, trace, tally, eval_s
-            )
+            raise diverged(block)
         if step_monitor is not None:
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
@@ -268,24 +273,21 @@ def run(
 
         # the budget or the last row stops the run before the row's
         # evaluation and the target after it, so the stopping row is evaluated
-        if cfg.oracle_budget is not None and tally.solver_calls >= cfg.oracle_budget:
+        if cfg.oracle_budget is not None and solver_calls >= cfg.oracle_budget:
             stop = "oracle_budget"
         elif row == cfg.max_iters:
             stop = "max_iters"
-        clock = row if by_row else tally.solver_calls
+        clock = row if by_row else solver_calls
         obj = stat_total = test_val = None
         if clock >= next_eval or stop:
             t_eval = time.perf_counter()
             next_eval = (clock // period + 1) * period
             report = stationarity(p, x, y, lam, ax)
-            tally.eval_calls += p.n
+            eval_calls += p.n
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
                 eval_s += time.perf_counter() - t_eval
-                raise _diverged(
-                    "stationarity", row, batch_col, x_old, x_new, last_stationarity,
-                    trace, tally, eval_s,
-                )
+                raise diverged("stationarity")
             full_grad, last_stationarity = report.grad, stat_total
             if test_objective is not None:
                 test_val = test_objective(x_new)
@@ -297,7 +299,7 @@ def run(
                 iter=row,
                 epoch=k // window + 1 if window_field else 0,
                 batch_size=batch_col,
-                oracle_calls=tally.solver_calls,
+                oracle_calls=solver_calls,
                 objective=obj,
                 stationarity=stat_total,
                 time_ms=(time.perf_counter() - t0) * 1e3,
@@ -315,8 +317,9 @@ def run(
     if report is None:  # max_iters: 0 reports x_0
         t_eval = time.perf_counter()
         report, stop = stationarity(p, x, y, lam, ax), "max_iters"
-        tally.eval_calls += p.n
+        eval_calls += p.n
         eval_s += time.perf_counter() - t_eval
     return RunResult(
-        trace=trace, x=x, y=y, lam=lam, tally=tally, final=report, stop=stop, eval_ms=eval_s * 1e3
+        trace=trace, x=x, y=y, lam=lam, solver_calls=solver_calls, eval_calls=eval_calls,
+        final=report, stop=stop, eval_ms=eval_s * 1e3,
     )

@@ -21,7 +21,7 @@ import pytest
 from absadmm.advisor import estimate_L, sadmm_feasibility, spider_preset, svrg_preset
 import absadmm
 from absadmm.datasets import Dataset, dump_libsvm
-from absadmm.estimators import OracleTally, estimate_sigma2, minibatch_grad, svrg_grad
+from absadmm.estimators import estimate_sigma2, minibatch_grad, svrg_grad
 from absadmm.kernel import dual_step, make_admm_params, x_step, y_step
 from absadmm.problems import (
     NonsmoothSpec,
@@ -122,15 +122,14 @@ def test_estimators_unbiased_by_enumeration(make_dataset):
     rng = np.random.default_rng(42)
     x = rng.normal(size=3)
     snap = rng.normal(size=3)
-    tally = OracleTally()
     exact = full_gradient(p, x)
 
-    mb = np.mean([minibatch_grad(p, x, [i], tally) for i in range(p.n)], axis=0)
+    mb = np.mean([minibatch_grad(p, x, [i]) for i in range(p.n)], axis=0)
     gap_mb = float(np.max(np.abs(mb - exact)))
 
     # full-batch anchor: exact snapshot gradient
-    snap_grad = minibatch_grad(p, snap, np.arange(p.n), tally)
-    sv = np.mean([svrg_grad(p, x, [i], snap, snap_grad, tally) for i in range(p.n)], axis=0)
+    snap_grad = minibatch_grad(p, snap, np.arange(p.n))
+    sv = np.mean([svrg_grad(p, x, [i], snap, snap_grad) for i in range(p.n)], axis=0)
     gap_sv = float(np.max(np.abs(sv - exact)))
 
     assert gap_mb <= 1e-12

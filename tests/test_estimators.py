@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from absadmm.datasets import Dataset
 from absadmm.estimators import (
-    OracleTally,
     estimate_sigma2,
     minibatch_grad,
     sample_indices,
@@ -59,15 +58,9 @@ def test_sampling_deterministic_by_seed():
 def test_minibatch_order_invariant(small):
     x = np.random.default_rng(2).standard_normal(4)
     batch = np.array([4, 1, 1, 3])
-    a = minibatch_grad(small, x, batch, OracleTally())
-    b = minibatch_grad(small, x, batch[::-1], OracleTally())
+    a = minibatch_grad(small, x, batch)
+    b = minibatch_grad(small, x, batch[::-1])
     assert np.array_equal(a, b)
-
-
-def test_minibatch_tally(small):
-    tally = OracleTally()
-    minibatch_grad(small, np.zeros(4), np.array([0, 1, 2]), tally)
-    assert tally.solver_calls == 3 and tally.eval_calls == 0
 
 
 def test_singleton_enumeration_unbiased(small):
@@ -75,7 +68,7 @@ def test_singleton_enumeration_unbiased(small):
     x = np.random.default_rng(3).standard_normal(4)
     avg = np.zeros(4)
     for i in range(small.n):
-        avg += minibatch_grad(small, x, np.array([i]), OracleTally())
+        avg += minibatch_grad(small, x, np.array([i]))
     avg /= small.n
     assert np.linalg.norm(avg - full_gradient(small, x)) <= 1e-12
 
@@ -83,55 +76,50 @@ def test_singleton_enumeration_unbiased(small):
 def test_full_batch_equals_full_gradient_bitwise(small):
     x = np.random.default_rng(4).standard_normal(4)
     batch = np.random.default_rng(5).permutation(small.n)
-    got = minibatch_grad(small, x, batch, OracleTally())
+    got = minibatch_grad(small, x, batch)
     assert np.array_equal(got, full_gradient(small, x))
 
 
 def test_whole_set_anchor_without_held_gradient_is_full_gradient(small):
     # a draw of n distinct indices is the whole set: reduced in place, in
-    # index order, and charged n
+    # index order
     x = np.random.default_rng(9).standard_normal(4)
-    tally = OracleTally()
-    got = minibatch_grad(small, x, np.random.default_rng(10).permutation(small.n), tally)
+    got = minibatch_grad(small, x, np.random.default_rng(10).permutation(small.n))
     assert got.tobytes() == full_gradient(small, x).tobytes()
-    assert tally.solver_calls == small.n
     held = full_gradient(small, x)
-    assert minibatch_grad(small, x, np.arange(small.n), tally, full_grad=held) is held
-    assert tally.solver_calls == 2 * small.n
+    assert minibatch_grad(small, x, np.arange(small.n), full_grad=held) is held
 
 
 def _anchored(p, x):
     """The full-batch anchor gradient at x, which is exact."""
-    return minibatch_grad(p, x, np.arange(p.n), OracleTally())
+    return minibatch_grad(p, x, np.arange(p.n))
 
 
-def test_svrg_grad_unbiased_and_tally(small):
+def test_svrg_grad_unbiased(small):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     snap = rng.standard_normal(4)
     snap_grad = _anchored(small, snap)
     assert np.array_equal(snap_grad, full_gradient(small, snap))
-    tally = OracleTally()
     avg = np.zeros(4)
     for i in range(small.n):
-        avg += svrg_grad(small, x, np.array([i]), snap, snap_grad, tally)
+        avg += svrg_grad(small, x, np.array([i]), snap, snap_grad)
     avg /= small.n
     assert np.linalg.norm(avg - full_gradient(small, x)) <= 1e-12
-    assert tally.solver_calls == 2 * small.n
 
 
 def test_svrg_exact_cancellation(small):
     # batch terms cancel bitwise when x equals the snapshot
     x = np.random.default_rng(7).standard_normal(4)
     snap_grad = _anchored(small, x)
-    v = svrg_grad(small, x.copy(), np.array([2, 2, 5]), x, snap_grad, OracleTally())
+    v = svrg_grad(small, x.copy(), np.array([2, 2, 5]), x, snap_grad)
     assert np.array_equal(v, snap_grad)
     # with and without ridge, and with a -0.0 in the reference gradient: the
     # zero batch difference is +0.0, so v is ref_grad + 0.0 bit for bit
     for p in (small, dataclasses.replace(small, ridge=0.3)):
         ref_grad = _anchored(p, x)
         ref_grad[1] = -0.0
-        v = svrg_grad(p, x.copy(), np.array([2, 2, 5]), x, ref_grad, OracleTally())
+        v = svrg_grad(p, x.copy(), np.array([2, 2, 5]), x, ref_grad)
         assert v.tobytes() == (ref_grad + 0.0).tobytes()
         assert not np.signbit(v[1])
 
@@ -157,7 +145,7 @@ def test_svrg_grad_is_the_difference_of_two_batch_gradients(loss, ridge, n, d, b
     ref_x = x + (1e-6 if near else 2.0) * rng.standard_normal(d)
     ref_grad = rng.standard_normal(d)
     batch = rng.integers(0, n, b)
-    v = svrg_grad(p, x, batch, ref_x, ref_grad, OracleTally())
+    v = svrg_grad(p, x, batch, ref_x, ref_grad)
     idx = np.sort(batch)
     g_x, g_ref = batch_mean_grad(p, x, idx), batch_mean_grad(p, ref_x, idx)
     scale = np.abs(g_x) + np.abs(g_ref) + np.abs(ref_grad)
@@ -172,15 +160,13 @@ def test_spider_recursion_and_state_roll(small):
     x = rng.standard_normal(4)
     v_prev = _anchored(small, x_prev)
     assert np.array_equal(v_prev, full_gradient(small, x_prev))
-    tally = OracleTally()
     # conditional mean over singleton batches equals grad(x) - grad(prev) + v_prev
     avg = np.zeros(4)
     for i in range(small.n):
-        avg += svrg_grad(small, x, np.array([i]), x_prev, v_prev, tally)
+        avg += svrg_grad(small, x, np.array([i]), x_prev, v_prev)
     avg /= small.n
     expected = full_gradient(small, x) - full_gradient(small, x_prev) + v_prev
     assert np.linalg.norm(avg - expected) <= 1e-12
-    assert tally.solver_calls == 2 * small.n
 
 
 def test_estimate_sigma2_population_frozen():
@@ -229,7 +215,7 @@ def test_batch_variance_models(make_dataset):
 
     for N in (n // 6, 2 * n // 3):
         measured = mse(
-            lambda: minibatch_grad(p, x, sample_indices(n, N, "without_replacement", rng), OracleTally())
+            lambda: minibatch_grad(p, x, sample_indices(n, N, "without_replacement", rng))
         )
         corrected = sigma2 * (n - N) / (N * (n - 1))
         assert measured == pytest.approx(corrected, rel=0.1), N
@@ -243,7 +229,7 @@ def test_batch_variance_models(make_dataset):
     )
     b = 32
     measured = mse(
-        lambda: svrg_grad(p, x, sample_indices(n, b, "with_replacement", rng), ref_x, ref_grad, OracleTally())
+        lambda: svrg_grad(p, x, sample_indices(n, b, "with_replacement", rng), ref_x, ref_grad)
     )
     spread = np.mean(np.sum((diffs - diffs.mean(axis=0)) ** 2, axis=1))
     assert measured == pytest.approx(spread / b, rel=0.1)

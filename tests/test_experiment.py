@@ -104,7 +104,7 @@ def test_load_config_bad_yaml(tmp_path, capsys):
     [
         (lambda d: d.pop("methods"), "at least one method"),
         (lambda d: d.update(methods=[]), "at least one method"),
-        (lambda d: d.update(methods="sadmm"), "at least one method"),
+        (lambda d: d.update(methods=None), "at least one method"),
         (lambda d: d["methods"][0].pop("name"), "missing required config key"),
         (lambda d: d["methods"][0].update(name="sgd"), "not one of"),
         (lambda d: d["methods"][0].update(step_size=0.1), "unknown keys"),
@@ -420,6 +420,7 @@ def test_run_experiment_artifacts(tmp_path, config_file):
     # summary file parses and mirrors the returned object
     loaded = yaml.safe_load((out / "summary.yaml").read_text())
     assert loaded["n_train"] == 12 and len(loaded["runs"]) == 4
+    assert sorted(pathlib.Path(r["trace_path"]).name for r in loaded["runs"]) == sorted(names)
     assert loaded["sigma2"] == pytest.approx(summary.sigma2)
     assert set(loaded["aggregates"]) == {"sadmm", "svrg_admm_adaptive"}
     assert loaded["aggregates"]["sadmm"]["runs"] == 2
@@ -543,9 +544,19 @@ def test_diverged_cell_row_reads_stop_diverged(tmp_path, config_file, monkeypatc
     _diverge_at_row(monkeypatch, solvers, "x_step", 3, lambda x: np.full_like(x, np.nan))
     sadmm = {"name": "sadmm", "beta": 1.0, "eta": 0.5}
     cfg = load_config(config_file(eval_stride=1, repeats=1, methods=[sadmm]))
-    (row,) = run_experiment(cfg, str(tmp_path / "out")).rows
+    summary = run_experiment(cfg, str(tmp_path / "out"))
+    (row,) = summary.rows
     assert (row.stop, row.diverged, row.iterations) == ("diverged", True, 2)
     assert 0.0 < row.eval_ms <= row.wall_ms
+    # the ledger holds what the run was charged: three anchors at the static
+    # cap, the bad row's included, and the evaluations of rows 1 and 2
+    spec = cfg.methods[0]
+    sched = SchedulerParams(
+        c_tau=spec.c_tau, c_eps=spec.c_eps, epsilon=spec.epsilon, sigma2=summary.sigma2,
+        n=summary.n_train,
+    )
+    assert row.solver_calls == 3 * adaptive_batch(sched, 0.0)
+    assert row.eval_calls == 2 * summary.n_train
 
 
 def test_summary_and_advise_report_the_start(tmp_path, config_file, capsys):
@@ -554,6 +565,7 @@ def test_summary_and_advise_report_the_start(tmp_path, config_file, capsys):
     problem = experiment._set_up(cfg)[0]
     zeros = np.zeros(problem.constraint.m)
     want = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)
+    assert want.total > 0.0
     out = tmp_path / "out"
     summary = run_experiment(cfg, str(out))
     assert (summary.initial_objective, summary.initial_stationarity) == (want.objective, want.total)
@@ -664,6 +676,8 @@ def test_all_diverged_reported(tmp_path, config_file, monkeypatch):
     summary = run_experiment(load_config(config_file()), str(out))
     assert all(r.diverged for r in summary.rows)
     assert all(np.isnan(r.final_objective) for r in summary.rows)
+    # an error raised without a ledger reads as no calls
+    assert all(r.solver_calls == r.eval_calls == 0 for r in summary.rows)
     assert summary.aggregates["sadmm"] == {"runs": 0, "diverged": 2}
     # empty traces still leave well-formed files behind
     assert parse_trace_csv(str(out / "trace_sadmm_rep0.csv")) == []
@@ -937,6 +951,22 @@ _ADVISE_FAULTS = [
         "name-list",
         lambda d: d["methods"][0].update(name=["sadmm"]),
         "methods[0]: name must be text, got ['sadmm']",
+    ),
+    # methods must be a list, a layout fault reported before any value's type
+    (
+        "methods-mapping",
+        lambda d: d.update(methods={"name": "sadmm", "beta": 1.0, "eta": 0.5}),
+        "methods must be a list of method entries, got {'beta': 1.0, 'eta': 0.5, 'name': 'sadmm'}",
+    ),
+    (
+        "methods-text",
+        lambda d: d.update(methods="sadmm"),
+        "methods must be a list of method entries, got 'sadmm'",
+    ),
+    (
+        "methods-mapping-before-types",
+        lambda d: (d.update(methods={"name": "sadmm"}), d["problem"].update(l1="x")),
+        "methods must be a list of method entries, got {'name': 'sadmm'}",
     ),
 ]
 

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from absadmm.schedulers import SchedulerParams, adaptive_batch
+from absadmm.schedulers import SchedulerParams, adaptive_batch, progress_binds_above
 
 
 def _sp(**kw):
@@ -72,3 +74,24 @@ def test_scheduler_params_validation():
         _sp(c_eps=math.nan)
     with pytest.raises(ValueError):
         _sp(tau_init=math.nan)
+
+
+_POSITIVE = st.floats(1e-4, 1e4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_tau=_POSITIVE, c_eps=_POSITIVE, epsilon=_POSITIVE, sigma2=_POSITIVE, n=st.integers(1, 10**6))
+# the continuous cap is 2 here, and the rounded progress term at twice the
+# threshold lands one ulp above 1
+@example(c_tau=197.97084558789868, c_eps=70.0, epsilon=0.3, sigma2=0.008571428571428572, n=10**6)
+def test_progress_binds_above_is_the_rule_s_threshold(c_tau, c_eps, epsilon, sigma2, n):
+    sp = SchedulerParams(c_tau=c_tau, c_eps=c_eps, epsilon=epsilon, sigma2=sigma2, n=n)
+    tau, cap = progress_binds_above(sp), adaptive_batch(sp, 0.0)
+    # just below the threshold the progress term exceeds the cap
+    assert adaptive_batch(sp, 0.99 * tau) == cap
+    # at twice it the term is half the continuous cap, which ceils below a
+    # cap above 1, unless rounding lifts a term of exactly 1 above 1
+    halved = adaptive_batch(sp, 2.0 * tau)
+    if cap > 1 and halved >= cap:
+        assert halved == cap == 2
+        assert c_tau * sigma2 / (2.0 * tau) == pytest.approx(1.0, rel=1e-12)

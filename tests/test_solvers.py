@@ -43,7 +43,7 @@ def test_zero_iterations_returns_initial_state(fused):
     res = run(fused, _config(fused, "sadmm", max_iters=0))
     assert res.trace == []
     assert not res.x.any() and not res.y.any() and not res.lam.any()
-    assert res.tally.solver_calls == 0
+    assert res.solver_calls == 0
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -130,7 +130,7 @@ def test_oracle_ledger_sadmm(fused):
     for rec in res.trace:
         total += rec.batch_size
         assert rec.oracle_calls == total
-    assert res.tally.solver_calls == total
+    assert res.solver_calls == total
 
 
 def test_oracle_ledger_svrg(fused):
@@ -141,7 +141,7 @@ def test_oracle_ledger_svrg(fused):
         inner = (rec.iter - 1) % T
         total += (rec.batch_size if inner == 0 else 0) + 2 * b
         assert rec.oracle_calls == total
-    assert res.tally.solver_calls == total
+    assert res.solver_calls == total
 
 
 def test_oracle_ledger_spider(fused):
@@ -154,7 +154,7 @@ def test_oracle_ledger_spider(fused):
         else:
             total += 2 * b
         assert rec.oracle_calls == total
-    assert res.tally.solver_calls == total
+    assert res.solver_calls == total
 
 
 def test_adaptive_batches_never_exceed_static(fused):
@@ -249,7 +249,7 @@ def test_stop_max_iters_reports_the_final_iterate(fused):
     zeros = np.zeros(fused.constraint.m)
     assert res.stop == "max_iters" and res.trace == []
     assert res.final == stationarity(fused, np.zeros(fused.constraint.d1), zeros, zeros, zeros)
-    assert res.tally.eval_calls == fused.n and res.eval_ms > 0.0
+    assert res.eval_calls == fused.n and res.eval_ms > 0.0
 
 
 def test_stop_oracle_budget(fused):
@@ -341,8 +341,8 @@ def test_divergence_names_block_row_batch_and_step(fused):
         assert np.isfinite(evaluated).all() and bool(evaluated) == (eval_stride == 1)
         # the ledger holds the bad row's gradients and, at the stationarity
         # block, the charge of the evaluation that came out non-finite
-        assert exc.tally.solver_calls == exc.row * exc.batch_size
-        assert exc.tally.eval_calls == ridged.n * (len(evaluated) + (block == "stationarity"))
+        assert exc.solver_calls == exc.row * exc.batch_size
+        assert exc.eval_calls == ridged.n * (len(evaluated) + (block == "stationarity"))
         message = str(exc)
         assert f"non-finite {what} at iteration {exc.row}: block {block}" in message
         assert f"batch size {exc.batch_size}" in message
@@ -377,8 +377,8 @@ def test_divergence_names_the_first_non_finite_block(fused, monkeypatch, target,
     assert exc.batch_size == adaptive_batch(cfg.sched, 0.0)
     assert np.isfinite(exc.dx_sq) == (block == "lam")
     assert exc.last_stationarity is None
-    assert exc.tally.solver_calls == exc.row * exc.batch_size
-    assert exc.tally.eval_calls == 0
+    assert exc.solver_calls == exc.row * exc.batch_size
+    assert exc.eval_calls == 0
     assert f"non-finite iterate at iteration 4: block {block}" in str(exc)
 
 
@@ -692,8 +692,8 @@ def test_whole_set_anchor_reuses_the_evaluation_gradient(fused, monkeypatch, met
     # both ledgers are charged as if each side had made its own pass; svrg's
     # inner step on b draws adds 2b per row
     inner = 2 * b if method.startswith("svrg") else 0
-    assert res.tally.solver_calls == k * (fused.n + inner)
-    assert res.tally.eval_calls == k * fused.n
+    assert res.solver_calls == k * (fused.n + inner)
+    assert res.eval_calls == k * fused.n
     assert tuple(r.objective for r in res.trace) == FULL_BATCH_OBJECTIVES
     # rows after an unevaluated row have no gradient to share and make their own pass
     sparse = run(fused, dataclasses.replace(cfg, eval_stride=3)).trace
