@@ -9,7 +9,7 @@ an experiment harness that reproduces oracle-complexity comparisons.
 __version__ = "0.1.0"
 
 from .datasets import Dataset, SplitPair, dump_libsvm, load_libsvm, parse_libsvm, split_half
-from .errors import ConfigError, DivergenceError, ParseError, UnsupportedProblemError
+from .errors import ConfigError, ParseError, UnsupportedProblemError
 from .kernel import AdmmParams, StationarityReport, make_admm_params, stationarity
 from .problems import (
     ConstraintSpec,
@@ -21,7 +21,7 @@ from .problems import (
     objective,
     prox_g,
 )
-from .solvers import METHODS, RunResult, SolverConfig, TraceRecord, run
+from .solvers import METHODS, Divergence, RunResult, SolverConfig, TraceRecord, run
 from .experiment import ExperimentConfig, MethodSpec, RunSummary, load_config, run_experiment
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "split_half",
     "ParseError",
     "ConfigError",
-    "DivergenceError",
     "UnsupportedProblemError",
     "ConstraintSpec",
     "NonsmoothSpec",
@@ -52,6 +51,7 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "RunResult",
+    "Divergence",
     "run",
     "ExperimentConfig",
     "MethodSpec",

@@ -21,7 +21,7 @@ import yaml
 from . import __version__
 from .advisor import _report, estimate_L, feasibility_at
 from .datasets import d_hint_fault, load_libsvm
-from .errors import ConfigError, DivergenceError, SplitError
+from .errors import ConfigError, SplitError
 from .estimators import estimate_sigma2
 from .kernel import make_admm_params, stationarity
 from .problems import build_fused_logistic, build_graph_guided, objective
@@ -414,13 +414,9 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     """Execute one grid cell and write its trace; returns a RunRow."""
     test_fn = None if test_problem is None else (lambda x: objective(test_problem, x))
     t0 = time.perf_counter()
-    try:
-        result = run(problem, solver_cfg, test_objective=test_fn)
-        stop, final_obj, final_stat = result.stop, result.final.objective, result.final.total
-    except DivergenceError as exc:  # it carries the trace and what the run was charged
-        result, stop, final_obj, final_stat = exc, "diverged", float("nan"), float("nan")
-    trace = result.trace
+    result = run(problem, solver_cfg, test_objective=test_fn)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    trace, final = result.trace, result.final  # a diverged run has no final report
     emit_trace_csv(trace, trace_path)
     # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and
     # a variance-reduced method's anchor opens a window, a new epoch
@@ -436,11 +432,11 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         iterations=len(trace),
         solver_calls=result.solver_calls,
         eval_calls=result.eval_calls,
-        final_objective=final_obj,
-        final_stationarity=final_stat,
+        final_objective=math.nan if final is None else final.objective,
+        final_stationarity=math.nan if final is None else final.total,
         batch_cap_hits=cap_hits,
-        diverged=stop == "diverged",
-        stop=stop,
+        diverged=result.stop == "diverged",
+        stop=result.stop,
         wall_ms=wall_ms,
         eval_ms=result.eval_ms,
         trace_path=trace_path,
@@ -474,7 +470,14 @@ def _set_up(cfg: ExperimentConfig):
     else:
         rng = np.random.default_rng(_derive_seed(cfg.seed, 2))
         x0 = np.zeros(train.d)
-        sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma2 = estimate_sigma2(problem, x0, min(problem.n, 1024), rng)
+        # the estimate is no method's fault: name what the user can change
+        if not math.isfinite(sigma2):
+            raise ConfigError(
+                f"sigma2 estimated from the training data is not finite ({sigma2}); "
+                "set sigma2, or scale the features with dataset.normalize: true"
+            )
     L = estimate_L(problem)
     zeros = np.zeros(problem.constraint.m)
     initial = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)

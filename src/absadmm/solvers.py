@@ -28,10 +28,12 @@ x steps and to an evaluation, so a row forms one ``matvec`` and one
 ``rmatvec``, and an evaluation adds one ``rmatvec``.  The row that stops a run
 is always an evaluation row.
 
-Each row tests only lam_{k+1} for non-finite values: a non-finite y_{k+1}
-enters it directly, and a non-finite x_{k+1} through A x_{k+1}, since every
-column of A holds a stored entry.  When the test fails, the error names the
-first non-finite block in update order.
+Divergence is a stop reason like the others.  Each row tests only lam_{k+1}
+for non-finite values: a non-finite y_{k+1} enters it directly, and a
+non-finite x_{k+1} through A x_{k+1}, since every column of A holds a stored
+entry.  An evaluation tests its objective and stationarity.  When a test
+fails, the run stops as "diverged" before the row is written, and its
+``Divergence`` names the first non-finite block in update order.
 
 An evaluation's pass also yields the exact gradient at x_{k+1}.  When the
 next row draws a whole-set anchor at that same point, ``minibatch_grad``
@@ -50,7 +52,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError
 from .estimators import minibatch_grad, sample_indices, svrg_grad
 from .kernel import AdmmParams, StationarityReport, dual_step, stationarity, x_step, y_step
 from .problems import ProblemInstance
@@ -61,6 +62,7 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "RunResult",
+    "Divergence",
     "run",
 ]
 
@@ -133,6 +135,32 @@ class TraceRecord:
     test_objective: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class Divergence:
+    """Where a diverged run broke down: ``block`` is the first non-finite block
+    in update order ("y", "x" or "lam"), or "stationarity" when the iterates
+    are finite but the row's evaluated objective or stationarity is not;
+    ``row`` is the 1-based iteration, ``batch_size`` that row's scheduled
+    draw, ``dx_sq`` its squared step ||x_{k+1} - x_k||^2, and
+    ``last_stationarity`` the last finite stationarity evaluated (None before
+    there is one).  ``str()`` gives all five in one line."""
+
+    block: str
+    row: int
+    batch_size: int
+    dx_sq: float
+    last_stationarity: Optional[float]
+
+    def __str__(self):
+        last = "none" if self.last_stationarity is None else f"{self.last_stationarity:.6g}"
+        what = "evaluation" if self.block == "stationarity" else "iterate"
+        return (
+            f"non-finite {what} at iteration {self.row}: block {self.block} "
+            f"(batch size {self.batch_size}, ||dx||^2 = {self.dx_sq:.6g}, "
+            f"last finite stationarity {last})"
+        )
+
+
 @dataclass
 class RunResult:
     """What a run returns: its TraceRecord rows in order, the final iterate
@@ -140,9 +168,15 @@ class RunResult:
     method, ``eval_calls`` to its evaluations), ``final``, the
     StationarityReport of the final iterate (of x_0 when max_iters is 0,
     charged n evaluation calls), ``stop``, why the run ended ("target",
-    "oracle_budget" or "max_iters"; the target wins on a row that meets it and
-    stops for another reason), and ``eval_ms``, the wall time spent in
+    "oracle_budget", "max_iters" or "diverged"; the target wins on a row that
+    meets it and stops for another reason), ``divergence``, the Divergence of
+    a diverged run and None otherwise, and ``eval_ms``, the wall time spent in
     evaluations, the held-out objective included.
+
+    A diverged run's trace ends before the row that broke down, its ledger
+    and ``eval_ms`` include that row's charges (a non-finite evaluation
+    included), its ``final`` is None, and (x, y, lam) is its last finite
+    iterate.
     """
 
     trace: list
@@ -151,8 +185,9 @@ class RunResult:
     lam: np.ndarray
     solver_calls: int
     eval_calls: int
-    final: StationarityReport
+    final: Optional[StationarityReport]
     stop: str
+    divergence: Optional[Divergence]
     eval_ms: float
 
 
@@ -190,7 +225,7 @@ def run(
     # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
     # there when the last row was evaluated, else None
     ax, full_grad = np.zeros(A.m), None
-    last_stationarity = report = stop = None
+    last_stationarity = stop = None
     trace = []
     # the evaluation clock counts rows under eval_stride and solver calls
     # otherwise; a row is evaluated once it reaches next_eval, which then
@@ -209,28 +244,6 @@ def run(
     # methods read 0.0 at every anchor
     tau = sp.tau_init if adaptive and window_field else 0.0
     window_sum = 0.0
-
-    def diverged(block):
-        """The DivergenceError for a non-finite ``block`` on the current row."""
-        with np.errstate(all="ignore"):
-            dx = x_new - x_old
-            dx_sq = float(dx @ dx)
-        last_text = "none" if last_stationarity is None else f"{last_stationarity:.6g}"
-        what = "evaluation" if block == "stationarity" else "iterate"
-        return DivergenceError(
-            f"non-finite {what} at iteration {row}: block {block} "
-            f"(batch size {batch_col}, ||dx||^2 = {dx_sq:.6g}, "
-            f"last finite stationarity {last_text})",
-            trace=trace,
-            solver_calls=solver_calls,
-            eval_calls=eval_calls,
-            block=block,
-            row=row,
-            batch_size=batch_col,
-            dx_sq=dx_sq,
-            last_stationarity=last_stationarity,
-            eval_ms=eval_s * 1e3,
-        )
 
     for k in range(cfg.max_iters):
         row = k + 1
@@ -256,14 +269,10 @@ def run(
         ax = A.matvec(x_new)
         lam_new = dual_step(admm, ax, y_new, lam)
         # a non-finite y or x reaches lam through A x - y, so one test covers
-        # all three; only a failure looks for the first bad block
+        # all three; only a divergence looks for the first bad block
         if not np.isfinite(lam_new).all():
-            block = next(
-                name
-                for name, arr in (("y", y_new), ("x", x_new), ("lam", lam_new))
-                if not np.isfinite(arr).all()
-            )
-            raise diverged(block)
+            stop = "diverged"
+            break
         if step_monitor is not None:
             step_monitor(
                 StepInfo(k=k, v=v, x_old=x_old, y_new=y_new, x_new=x_new, lam_new=lam_new)
@@ -287,7 +296,8 @@ def run(
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
                 eval_s += time.perf_counter() - t_eval
-                raise diverged("stationarity")
+                stop = "diverged"
+                break
             full_grad, last_stationarity = report.grad, stat_total
             if test_objective is not None:
                 test_val = test_objective(x_new)
@@ -314,12 +324,28 @@ def run(
                 tau, window_sum = window_sum, 0.0
         if stop:
             break
-    if report is None:  # max_iters: 0 reports x_0
+    divergence = None
+    if stop == "diverged":
+        # an evaluation failed when every block of the row is finite
+        block = next(
+            (
+                name
+                for name, arr in (("y", y_new), ("x", x_new), ("lam", lam_new))
+                if not np.isfinite(arr).all()
+            ),
+            "stationarity",
+        )
+        with np.errstate(all="ignore"):
+            dx = x_new - x_old
+            dx_sq = float(dx @ dx)
+        divergence = Divergence(block, row, batch_col, dx_sq, last_stationarity)
+        report = None
+    elif stop is None:  # max_iters: 0 reports x_0
         t_eval = time.perf_counter()
         report, stop = stationarity(p, x, y, lam, ax), "max_iters"
         eval_calls += p.n
         eval_s += time.perf_counter() - t_eval
     return RunResult(
         trace=trace, x=x, y=y, lam=lam, solver_calls=solver_calls, eval_calls=eval_calls,
-        final=report, stop=stop, eval_ms=eval_s * 1e3,
+        final=report, stop=stop, divergence=divergence, eval_ms=eval_s * 1e3,
     )

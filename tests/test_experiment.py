@@ -15,7 +15,7 @@ import absadmm.experiment as experiment
 import absadmm.solvers as solvers
 from absadmm.advisor import spider_preset, svrg_preset
 from absadmm.cli import main
-from absadmm.errors import ConfigError, DivergenceError
+from absadmm.errors import ConfigError
 from absadmm.datasets import Dataset, dump_libsvm
 from absadmm.experiment import (
     ExperimentConfig,
@@ -34,6 +34,24 @@ from absadmm.solvers import METHODS, TraceRecord
 def data_file(tmp_path, make_dataset):
     path = tmp_path / "toy.txt"
     path.write_text(dump_libsvm(make_dataset(24, 4, seed=17)))
+    return str(path)
+
+
+@pytest.fixture
+def huge_file(tmp_path):
+    # features of +-1e300: the stationarity overflows at x_0, and so does the
+    # estimated sigma2
+    path = tmp_path / "huge.txt"
+    path.write_text(
+        "+1 1:1e300 2:-1e300\n-1 1:-1e300 3:1e300\n+1 2:1e300 3:-1e300\n-1 1:1e300 2:1e300\n"
+    )
+    return str(path)
+
+
+def _huge_config(tmp_path, huge_file, **overrides):
+    """The toy grid on ``huge_file``, unsplit, written to a config file."""
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(_config_doc(huge_file, split={"enabled": False}, **overrides)))
     return str(path)
 
 
@@ -667,17 +685,21 @@ def test_undersized_r_detected_early(tmp_path, config_file):
         run_experiment(load_config(path), str(tmp_path / "out"))
 
 
-def test_all_diverged_reported(tmp_path, config_file, monkeypatch):
-    def explode(problem, cfg, test_objective=None, step_monitor=None):
-        raise DivergenceError("non-finite iterate at iteration 1", trace=[])
-
-    monkeypatch.setattr(experiment, "run", explode)
-    out = tmp_path / "out"
-    summary = run_experiment(load_config(config_file()), str(out))
-    assert all(r.diverged for r in summary.rows)
+def test_all_diverged_reported(tmp_path, huge_file):
+    # at sigma2 = 1 every cell's first row reaches n = 4 solver calls, so it
+    # is evaluated, and that evaluation overflows as it does at x_0
+    cfg, out = load_config(_huge_config(tmp_path, huge_file, sigma2=1.0)), tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_experiment(cfg, str(out))
+    assert summary.initial_stationarity == math.inf
+    assert all((r.stop, r.diverged, r.iterations) == ("diverged", True, 0) for r in summary.rows)
     assert all(np.isnan(r.final_objective) for r in summary.rows)
-    # an error raised without a ledger reads as no calls
-    assert all(r.solver_calls == r.eval_calls == 0 for r in summary.rows)
+    # the ledger holds the one row's gradients and its evaluation: sadmm's
+    # anchor is the cap n, svrg's first anchor c_tau*sigma2/tau_init = 1 row
+    # plus an inner step of 2b = 6
+    calls = {"sadmm": 4, "svrg_admm_adaptive": 1 + 6}
+    assert all(r.solver_calls == calls[r.method] for r in summary.rows)
+    assert all(r.eval_calls == summary.n_train == 4 for r in summary.rows)
     assert summary.aggregates["sadmm"] == {"runs": 0, "diverged": 2}
     # empty traces still leave well-formed files behind
     assert parse_trace_csv(str(out / "trace_sadmm_rep0.csv")) == []
@@ -1049,12 +1071,25 @@ def test_cli_run_bad_real_is_config_error_naming_the_key(
     assert capsys.readouterr().err.startswith(f"config error: {want} ")
 
 
-def test_cli_run_all_diverged_exit_code(tmp_path, config_file, monkeypatch):
-    def explode(problem, cfg, test_objective=None, step_monitor=None):
-        raise DivergenceError("non-finite iterate at iteration 1", trace=[])
+def test_cli_run_all_diverged_exit_code(tmp_path, huge_file):
+    path = _huge_config(tmp_path, huge_file, sigma2=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    runs = yaml.safe_load((tmp_path / "o" / "summary.yaml").read_text())["runs"]
+    assert [r["stop"] for r in runs] == ["diverged"] * 4
 
-    monkeypatch.setattr(experiment, "run", explode)
-    assert main(["run", "--config", config_file(), "--out", str(tmp_path / "o")]) == 4
+
+@pytest.mark.parametrize("command", ["run", "advise"])
+def test_cli_overflowing_sigma2_estimate_is_one_config_error(tmp_path, huge_file, capsys, command):
+    # the estimate is no method's fault, and it is reported on one line
+    # before anything else overflows (an overflow warning fails the test)
+    argv = [command, "--config", _huge_config(tmp_path, huge_file)]
+    assert main(argv + (["--out", str(tmp_path / "o")] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: sigma2 estimated from the training data is not finite (inf); "
+        "set sigma2, or scale the features with dataset.normalize: true\n"
+    )
 
 
 def test_cli_seed_override(tmp_path, config_file):

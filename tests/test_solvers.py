@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import absadmm.solvers as solvers
-from absadmm.errors import DivergenceError
 from absadmm.kernel import AdmmParams, make_admm_params, stationarity
 from absadmm.problems import batch_grad_difference, batch_mean_grad, build_fused_logistic
 from absadmm.schedulers import SchedulerParams, adaptive_batch
@@ -307,9 +306,10 @@ def test_divergence_carries_trace(fused):
     bad = AdmmParams(beta=5.0, eta=5.0, r=0.05)
     cfg = _config(ridged, "sadmm", params=bad, max_iters=2000)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="non-finite") as exc_info:
-            run(ridged, cfg)
-    trace = exc_info.value.trace
+        res = run(ridged, cfg)
+    assert res.stop == "diverged" and "non-finite" in str(res.divergence)
+    assert res.final is None and np.isfinite(res.x).all()
+    trace = res.trace
     assert isinstance(trace, list) and len(trace) >= 1
     assert [rec.iter for rec in trace] == list(range(1, len(trace) + 1))
     evaluated = [(r.objective, r.stationarity) for r in trace if r.stationarity is not None]
@@ -329,20 +329,21 @@ def test_divergence_names_block_row_batch_and_step(fused):
     for eval_stride, block, what in cases:
         cfg = _config(ridged, "sadmm", params=bad, max_iters=2000, eval_stride=eval_stride)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as exc_info:
-                run(ridged, cfg)
-        exc = exc_info.value
-        evaluated = [r.stationarity for r in exc.trace if r.stationarity is not None]
+            res = run(ridged, cfg)
+        exc = res.divergence
+        assert res.stop == "diverged"
+        assert res.final is None and np.isfinite(res.x).all()
+        evaluated = [r.stationarity for r in res.trace if r.stationarity is not None]
         assert exc.block == block
-        assert exc.row == len(exc.trace) + 1
+        assert exc.row == len(res.trace) + 1
         assert exc.batch_size == adaptive_batch(cfg.sched, 0.0)
         assert exc.dx_sq == np.inf
         assert exc.last_stationarity == (evaluated[-1] if evaluated else None)
         assert np.isfinite(evaluated).all() and bool(evaluated) == (eval_stride == 1)
         # the ledger holds the bad row's gradients and, at the stationarity
         # block, the charge of the evaluation that came out non-finite
-        assert exc.solver_calls == exc.row * exc.batch_size
-        assert exc.eval_calls == ridged.n * (len(evaluated) + (block == "stationarity"))
+        assert res.solver_calls == exc.row * exc.batch_size
+        assert res.eval_calls == ridged.n * (len(evaluated) + (block == "stationarity"))
         message = str(exc)
         assert f"non-finite {what} at iteration {exc.row}: block {block}" in message
         assert f"batch size {exc.batch_size}" in message
@@ -370,15 +371,16 @@ def test_divergence_names_the_first_non_finite_block(fused, monkeypatch, target,
     monkeypatch.setattr(solvers, target, poisoned)
     cfg = _config(fused, "sadmm", max_iters=30, eval_stride=1000)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DivergenceError) as exc_info:
-            run(fused, cfg)
-    exc = exc_info.value
-    assert (exc.block, exc.row, len(exc.trace)) == (block, 4, 3)
+        res = run(fused, cfg)
+    exc = res.divergence
+    assert res.stop == "diverged"
+    assert res.final is None and np.isfinite(res.x).all()
+    assert (exc.block, exc.row, len(res.trace)) == (block, 4, 3)
     assert exc.batch_size == adaptive_batch(cfg.sched, 0.0)
     assert np.isfinite(exc.dx_sq) == (block == "lam")
     assert exc.last_stationarity is None
-    assert exc.solver_calls == exc.row * exc.batch_size
-    assert exc.eval_calls == 0
+    assert res.solver_calls == exc.row * exc.batch_size
+    assert res.eval_calls == 0
     assert f"non-finite iterate at iteration 4: block {block}" in str(exc)
 
 
@@ -393,11 +395,12 @@ def test_non_finite_stationarity_stops_the_run(fused):
     for max_iters in (300, 1000):
         cfg = _config(ridged, "sadmm", params=bad, max_iters=max_iters, eval_stride=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="non-finite evaluation") as exc_info:
-                run(ridged, cfg)
-        exc = exc_info.value
-        assert (exc.block, exc.row, len(exc.trace)) == ("stationarity", 254, 253)
-        assert exc.last_stationarity == exc.trace[-1].stationarity
+            res = run(ridged, cfg)
+        exc = res.divergence
+        assert res.stop == "diverged" and "non-finite evaluation" in str(exc)
+        assert res.final is None and np.isfinite(res.x).all()
+        assert (exc.block, exc.row, len(res.trace)) == ("stationarity", 254, 253)
+        assert exc.last_stationarity == res.trace[-1].stationarity
         assert np.isfinite(exc.last_stationarity) and np.isfinite(exc.dx_sq)
 
 
