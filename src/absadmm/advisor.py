@@ -63,7 +63,9 @@ class VrPreset:
 
 @dataclass(frozen=True)
 class AdvisorReport:
-    """Problem constants and the two presets, as printed by the CLI."""
+    """Problem constants and the two presets, as printed by the CLI; a preset is
+    None when its float arithmetic overflows, as with A = I above L = 7.3e76
+    (svrg) and L = 1.2e77 (spider)."""
 
     n: int
     d: int
@@ -73,8 +75,8 @@ class AdvisorReport:
     norm_A: float
     norm_B: float
     sigma2: Optional[float]
-    svrg: VrPreset
-    spider: VrPreset
+    svrg: Optional[VrPreset]
+    spider: Optional[VrPreset]
 
 
 def estimate_L(p: ProblemInstance) -> float:
@@ -232,6 +234,14 @@ def _report(p: ProblemInstance, L: float, sigma2: Optional[float]) -> AdvisorRep
         norm_A=math.sqrt(opnorm),
         norm_B=1.0,  # B = -I
         sigma2=sigma2,
-        svrg=svrg_preset(p.n, L, varsigma, opnorm),
-        spider=spider_preset(p.n, L, varsigma, opnorm),
+        svrg=_preset(svrg_preset, p.n, L, varsigma, opnorm),
+        spider=_preset(spider_preset, p.n, L, varsigma, opnorm),
     )
+
+
+def _preset(build, *args) -> Optional[VrPreset]:
+    """``build(*args)``, or None when its float arithmetic overflows."""
+    try:
+        return build(*args)
+    except (OverflowError, ZeroDivisionError):
+        return None

@@ -7,7 +7,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
 
 import numpy as np
 
@@ -543,11 +542,10 @@ def d_hint_fault(d_hint):
 def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     """Parse into one dense buffer; see ``load_libsvm`` for the keywords.
 
-    A stream of one block is loaded on this thread: the pool would cost more
-    than the parse.  Longer streams are loaded on a pool of ``_WORKERS``
-    threads: the blocks are parsed ``_WORKERS + 1`` at a time and collected in
-    file order, so the first bad line of the file is the one reported, and
-    then the same pool fills the dense matrix.
+    The stream is loaded on a pool of ``_WORKERS`` threads: its blocks are
+    parsed ``_WORKERS + 1`` at a time and collected in file order, so the
+    first bad line of the file is the one reported, and then the same pool
+    fills the dense matrix.
     """
     fault = d_hint_fault(d_hint)
     if fault:
@@ -555,45 +553,34 @@ def _parse_stream(stream, d_hint, normalize=False, split_seed=None):
     blocks = []
     lines = 0
 
-    def collect(result):
+    def collect(job):
         nonlocal lines
         try:
-            *parsed, breaks = result()
+            *parsed, breaks = job.result()
         except _BadToken as bad:
             code, line, token = bad.args
             raise ParseError(_message(code, lines + line, token, d_hint)) from None
         blocks.append(parsed)
         lines += breaks
 
-    bufs = _line_blocks(stream)
-    head = list(islice(bufs, 2))
-    if len(head) < 2:
-        for buf in head:
-            collect(partial(_parse_block, buf, d_hint))
-        return _assemble(blocks, d_hint, normalize, split_seed, map)
-    # once chained, the list goes with its iterator, so only the pool's jobs
-    # hold the first two blocks
-    bufs = chain(head, bufs)
-    del head
     with ThreadPoolExecutor(_WORKERS) as pool:
         # one job more than the workers, so that a worker that finishes while
         # the calling thread waits on an earlier block finds the next one
         jobs = deque()
-        for buf in bufs:
+        for buf in _line_blocks(stream):
             if len(jobs) > _WORKERS:
-                collect(jobs.popleft().result)
+                collect(jobs.popleft())
             jobs.append(pool.submit(_parse_block, buf, d_hint))
         while jobs:
-            collect(jobs.popleft().result)
-        return _assemble(blocks, d_hint, normalize, split_seed, pool.map)
+            collect(jobs.popleft())
+        return _assemble(blocks, d_hint, normalize, split_seed, pool)
 
 
-def _assemble(blocks, d_hint, normalize, split_seed, each):
+def _assemble(blocks, d_hint, normalize, split_seed, pool):
     """The ``Dataset`` (or, with a ``split_seed``, the ``SplitPair``) of the parsed blocks.
 
-    ``each`` maps a function over its inputs, as ``map`` or a pool's ``map``
-    does; its jobs write the blocks.  Each block's triplets go when its rows
-    are written.
+    The jobs of ``pool`` write the blocks.  Each block's triplets go when its
+    rows are written.
     """
     n = sum(labels.size for labels, _, _, _ in blocks)
     if n == 0:
@@ -627,7 +614,7 @@ def _assemble(blocks, d_hint, normalize, split_seed, each):
             block, blocks[k] = blocks[k], None
             yield block
 
-    for _ in each(partial(_fill_rows, feats.reshape(-1), d, row_of, scale), handed_over(), row0):
+    for _ in pool.map(partial(_fill_rows, feats.reshape(-1), d, row_of, scale), handed_over(), row0):
         pass
     if split_seed is not None:
         return _halves(feats, labels, n_train)

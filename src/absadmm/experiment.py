@@ -418,13 +418,6 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
     wall_ms = (time.perf_counter() - t0) * 1e3
     trace, final = result.trace, result.final  # a diverged run has no final report
     emit_trace_csv(trace, trace_path)
-    # anchors at the static cap: every sadmm row (epoch 0) is an anchor, and
-    # a variance-reduced method's anchor opens a window, a new epoch
-    cap = adaptive_batch(solver_cfg.sched, 0.0)
-    cap_hits = sum(
-        rec.batch_size == cap and (rec.epoch == 0 or rec.epoch != prev)
-        for rec, prev in zip(trace, [None] + [rec.epoch for rec in trace])
-    )
     return RunRow(
         method=solver_cfg.method,
         repeat=rep,
@@ -434,7 +427,7 @@ def _run_cell(problem, test_problem, solver_cfg: SolverConfig, rep: int, trace_p
         eval_calls=result.eval_calls,
         final_objective=math.nan if final is None else final.objective,
         final_stationarity=math.nan if final is None else final.total,
-        batch_cap_hits=cap_hits,
+        batch_cap_hits=result.cap_hits,
         diverged=result.stop == "diverged",
         stop=result.stop,
         wall_ms=wall_ms,
@@ -480,7 +473,9 @@ def _set_up(cfg: ExperimentConfig):
             )
     L = estimate_L(problem)
     zeros = np.zeros(problem.constraint.m)
-    initial = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)
+    # an overflow here reads as initial_stationarity: .inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial = stationarity(problem, np.zeros(problem.constraint.d1), zeros, zeros, zeros)
 
     # build each method's solver config once, surfacing bad method parameters
     # as config errors before any cell runs

@@ -335,8 +335,8 @@ def build_graph_guided(
         raise ValueError("corr_threshold must lie in (0, 1]")
     d = ds.d
     heads = tails = np.zeros(0, dtype=np.intp)
-    if d > 1:
-        with np.errstate(invalid="ignore", divide="ignore"):
+    if d > 1 and ds.n > 1:  # one row's corrcoef is all NaN, with a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             corr = np.corrcoef(ds.features, rowvar=False)
         np.nan_to_num(corr, copy=False, nan=0.0)  # constant columns carry no edges
         # pairs (p < q) in row-major order

@@ -170,8 +170,10 @@ class RunResult:
     charged n evaluation calls), ``stop``, why the run ended ("target",
     "oracle_budget", "max_iters" or "diverged"; the target wins on a row that
     meets it and stops for another reason), ``divergence``, the Divergence of
-    a diverged run and None otherwise, and ``eval_ms``, the wall time spent in
-    evaluations, the held-out objective included.
+    a diverged run and None otherwise, ``cap_hits``, how many of the trace's
+    rows drew an anchor at the static cap ``adaptive_batch(sched, 0.0)``,
+    and ``eval_ms``, the wall time spent in evaluations, the held-out
+    objective included.
 
     A diverged run's trace ends before the row that broke down, its ledger
     and ``eval_ms`` include that row's charges (a non-finite evaluation
@@ -188,6 +190,7 @@ class RunResult:
     final: Optional[StationarityReport]
     stop: str
     divergence: Optional[Divergence]
+    cap_hits: int
     eval_ms: float
 
 
@@ -220,7 +223,8 @@ def run(
     adaptive = base != cfg.method
     window = getattr(cfg, window_field) if window_field else 1
     sp, admm, A = cfg.sched, cfg.admm, p.constraint
-    solver_calls = eval_calls = 0
+    solver_calls = eval_calls = cap_hits = 0
+    cap = adaptive_batch(sp, 0.0)
     x, y, lam = np.zeros(A.d1), np.zeros(A.m), np.zeros(A.m)
     # ax is A x at the current x (x_0 = 0), and full_grad the exact gradient
     # there when the last row was evaluated, else None
@@ -291,7 +295,8 @@ def run(
         if clock >= next_eval or stop:
             t_eval = time.perf_counter()
             next_eval = (clock // period + 1) * period
-            report = stationarity(p, x, y, lam, ax)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result diverges
+                report = stationarity(p, x, y, lam, ax)
             eval_calls += p.n
             obj, stat_total = report.objective, report.total
             if not (np.isfinite(obj) and np.isfinite(stat_total)):
@@ -316,6 +321,7 @@ def run(
                 test_objective=test_val,
             )
         )
+        cap_hits += anchored and batch_col == cap
 
         if adaptive:
             dx = x_new - x_old
@@ -341,11 +347,12 @@ def run(
         divergence = Divergence(block, row, batch_col, dx_sq, last_stationarity)
         report = None
     elif stop is None:  # max_iters: 0 reports x_0
-        t_eval = time.perf_counter()
-        report, stop = stationarity(p, x, y, lam, ax), "max_iters"
+        t_eval, stop = time.perf_counter(), "max_iters"
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = stationarity(p, x, y, lam, ax)
         eval_calls += p.n
         eval_s += time.perf_counter() - t_eval
     return RunResult(
         trace=trace, x=x, y=y, lam=lam, solver_calls=solver_calls, eval_calls=eval_calls,
-        final=report, stop=stop, divergence=divergence, eval_ms=eval_s * 1e3,
+        final=report, stop=stop, divergence=divergence, cap_hits=cap_hits, eval_ms=eval_s * 1e3,
     )

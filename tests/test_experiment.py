@@ -689,10 +689,11 @@ def test_all_diverged_reported(tmp_path, huge_file):
     # at sigma2 = 1 every cell's first row reaches n = 4 solver calls, so it
     # is evaluated, and that evaluation overflows as it does at x_0
     cfg, out = load_config(_huge_config(tmp_path, huge_file, sigma2=1.0)), tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = run_experiment(cfg, str(out))
+    summary = run_experiment(cfg, str(out))
     assert summary.initial_stationarity == math.inf
     assert all((r.stop, r.diverged, r.iterations) == ("diverged", True, 0) for r in summary.rows)
+    # sadmm drew its anchor at the cap, but the row was never written
+    assert all(r.batch_cap_hits == 0 for r in summary.rows)
     assert all(np.isnan(r.final_objective) for r in summary.rows)
     # the ledger holds the one row's gradients and its evaluation: sadmm's
     # anchor is the cap n, svrg's first anchor c_tau*sigma2/tau_init = 1 row
@@ -1073,8 +1074,7 @@ def test_cli_run_bad_real_is_config_error_naming_the_key(
 
 def test_cli_run_all_diverged_exit_code(tmp_path, huge_file):
     path = _huge_config(tmp_path, huge_file, sigma2=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 4
     runs = yaml.safe_load((tmp_path / "o" / "summary.yaml").read_text())["runs"]
     assert [r["stop"] for r in runs] == ["diverged"] * 4
 
@@ -1090,6 +1090,56 @@ def test_cli_overflowing_sigma2_estimate_is_one_config_error(tmp_path, huge_file
         "config error: sigma2 estimated from the training data is not finite (inf); "
         "set sigma2, or scale the features with dataset.normalize: true\n"
     )
+
+
+def _scaled_rows(exponent):
+    """The four rows of ``huge_file`` with features of +-10**exponent."""
+    v = f"1e{exponent}"
+    return f"+1 1:{v} 2:-{v}\n-1 1:-{v} 3:{v}\n+1 2:{v} 3:-{v}\n-1 1:{v} 2:{v}\n"
+
+
+_SADMM_UNSPLIT = dict(
+    sigma2=1.0, split={"enabled": False}, methods=[{"name": "sadmm", "beta": 1.0, "eta": 0.5}]
+)
+_GRAPH = {"kind": "graph_guided", "l1": 0.05}
+
+# (data, overrides, run's exit code, whether advise's presets are null);
+# advise exits as run does, except that it has no exit 4
+_EXTREME_CASES = {
+    # L = 5e39, 5e79, 5e159, 5e299 and inf
+    **{f"fused_1e{e}": (_scaled_rows(e), _SADMM_UNSPLIT, 4 if e == 300 else 0, e > 20)
+       for e in (20, 40, 80, 150, 300)},
+    # x_0's report overflows in set-up and again as the run's final report
+    "fused_1e300_max_iters_0": (
+        _scaled_rows(300), dict(_SADMM_UNSPLIT, budget={"max_iters": 0}), 0, True
+    ),
+    # a correlation that overflows before the sigma2 estimate does
+    "graph_1e300_sigma2_estimated": (
+        _scaled_rows(300), dict(problem=_GRAPH, split={"enabled": False}), 2, None
+    ),
+    # a train half of one row correlates nothing
+    "graph_2_rows_split": ("+1 1:0.5 2:-1\n-1 1:-0.3 3:2\n", dict(problem=_GRAPH), 0, False),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "advise"])
+@pytest.mark.parametrize("case", list(_EXTREME_CASES))
+def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, case, command):
+    # a numpy warning fails the test, as the pytest config makes it an error;
+    # an error exit writes one stderr line, and any other exit none
+    text, overrides, run_code, null_presets = _EXTREME_CASES[case]
+    data, path = tmp_path / "data.txt", tmp_path / "exp.yaml"
+    data.write_text(text)
+    path.write_text(yaml.safe_dump(_config_doc(str(data), **overrides)))
+    argv = [command, "--config", str(path)]
+    code = main(argv + (["--out", str(tmp_path / "o")] if command == "run" else []))
+    assert code == (run_code if command == "run" or run_code != 4 else 0)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (1 if code in (2, 3) else 0)
+    if command == "advise" and code == 0:
+        report = yaml.safe_load(out)["problem"]
+        assert (report["svrg"] is None, report["spider"] is None) == (null_presets, null_presets)
 
 
 def test_cli_seed_override(tmp_path, config_file):

@@ -543,7 +543,7 @@ def test_no_worker_outlives_a_load(tmp_path, monkeypatch):
 
 
 
-def test_one_block_parses_on_the_calling_thread(tmp_path, monkeypatch):
+def test_every_block_parses_and_fills_on_the_pool(tmp_path, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     submitted = []
@@ -553,25 +553,24 @@ def test_one_block_parses_on_the_calling_thread(tmp_path, monkeypatch):
         submitted.append(args[0])
         return real(self, *args, **kwargs)
 
+    def jobs_of(func):
+        return [job for job in submitted if getattr(job, "func", job) is func]
+
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
-    assert parse_libsvm(b"+1 1:0.5\n-1 2:1\n").n == 2
-    with pytest.raises(ParseError, match="line 2: malformed pair"):
-        parse_libsvm(b"+1 1:0.5\n+1 1:x\n")
-    # one block is filled and scaled on the calling thread too
+    # one block is parsed, filled and scaled on the pool
     path = tmp_path / "data.txt"
     path.write_bytes(_LINE * 3)
     assert load_libsvm(path, normalize=True, split_seed=3).train.n == 2
-    assert submitted == []
-    # two blocks or more still go to the pool
-    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
-    assert parse_libsvm(_LINE * 40).n == 40
-    assert submitted
-    # ... which then writes each block's rows into the dense matrix
+    assert len(jobs_of(datasets._parse_block)) == len(jobs_of(datasets._fill_rows)) == 1
+    with pytest.raises(ParseError, match="line 2: malformed pair"):
+        parse_libsvm(b"+1 1:0.5\n+1 1:x\n")
+    # so are two blocks or more, one job per block
     submitted.clear()
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", 64)
     path.write_bytes(_LINE * 200)
     assert load_libsvm(path, normalize=True, split_seed=3).train.n == 100
-    fills = [job for job in submitted if getattr(job, "func", None) is datasets._fill_rows]
-    assert len(fills) == len(_blocks_of(_LINE * 200)) > 10
+    blocks = len(_blocks_of(_LINE * 200))
+    assert len(jobs_of(datasets._parse_block)) == len(jobs_of(datasets._fill_rows)) == blocks > 10
 
 
 # -- memory ------------------------------------------------------------------------------

@@ -204,6 +204,25 @@ def test_anchor_sizes_follow_the_window_mean_of_squared_steps(make_dataset, meth
     assert min(anchors) < adaptive_batch(sp, 0.0)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_cap_hits_count_the_written_anchors_at_the_static_cap(make_dataset, method):
+    # the problem above, with inner steps of the cap's size: only anchor rows
+    # count, where every sadmm row (epoch 0) is an anchor and a variance-
+    # reduced anchor opens a new epoch.  Each adaptive method takes the cap at
+    # its first anchor only
+    p = build_fused_logistic(make_dataset(80, 5, seed=5), 0.02)
+    sp = SchedulerParams(c_tau=0.05, c_eps=1.0, epsilon=0.01, sigma2=0.5, n=p.n, tau_init=2e-4)
+    cap = adaptive_batch(sp, 0.0)
+    res = run(p, _config(p, method, sched=sp, max_iters=24, b=cap, T=3, q=3, seed=7))
+    epochs = [None] + [rec.epoch for rec in res.trace]
+    from_trace = sum(
+        rec.batch_size == cap and (rec.epoch == 0 or rec.epoch != prev)
+        for rec, prev in zip(res.trace, epochs)
+    )
+    anchors = 24 if method.startswith("sadmm") else 8
+    assert res.cap_hits == from_trace == (1 if method.endswith("_adaptive") else anchors)
+
+
 def test_epoch_column(fused):
     res = run(fused, _config(fused, "svrg_admm", max_iters=10, T=4))
     assert [r.epoch for r in res.trace] == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
